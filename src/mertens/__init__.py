@@ -11,7 +11,6 @@ from .bounds import (
     CONSTANTS,
     MERTENS_B,
     BoundReport,
-    ExtrapolationQuery,
     MertensConstants,
     RosserSchoenfeldCheck,
     binomial_prime_product_check,
@@ -36,12 +35,8 @@ from .identities import (
 )
 from .sieve import (
     DEFAULT_SEGMENT_SIZE,
-    PiCheckpoint,
-    PrimeStream,
     SieveLimitError,
-    pi_at,
     primes_array,
-    primes_up_to,
 )
 from .sums import CheckpointRow, CompensatedAccumulator, accumulate_checkpoints
 
@@ -54,12 +49,9 @@ __all__ = [
     "CompensatedAccumulator",
     "DEFAULT_SEGMENT_SIZE",
     "EulerProductCheck",
-    "ExtrapolationQuery",
     "FactorialLogCheck",
     "IdentityVerdict",
     "MertensConstants",
-    "PiCheckpoint",
-    "PrimeStream",
     "RosserSchoenfeldCheck",
     "SequencePair",
     "SieveLimitError",
@@ -75,9 +67,7 @@ __all__ = [
     "legendre_vp",
     "log_one_minus_bound",
     "mertens_residual_scan",
-    "pi_at",
     "primes_array",
-    "primes_up_to",
     "rosser_schoenfeld_check",
     "stieltjes_identity_check",
 ]

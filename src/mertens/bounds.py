@@ -3,7 +3,8 @@
 Every check reports a BoundReport with the worst signed margin (rhs - lhs)
 over the scanned range; a violation is a strictly negative margin.  Scans
 are exhaustive where cheap and log-spaced (256 points per decade) beyond,
-since the scanned quantities only change at primes.
+since the scanned quantities only change at primes.  Checks of S, A, Q and
+L take the CheckpointRows they scan and never start a pass of their own.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .sieve import DEFAULT_SEGMENT_SIZE, primes_array
-from .sums import CheckpointRow, L_CAP, Q_CAP, accumulate_checkpoints, rows_as_arrays
+from .sieve import primes_array
+from .sums import CheckpointRow, L_CAP, Q_CAP, rows_as_arrays
 
 
 @dataclass(frozen=True)
@@ -73,19 +74,6 @@ def _combined_report(
         if cand[0] < best[0] or (cand[0] == best[0] and cand[1] < best[1]):
             best = cand
     return BoundReport(name, lo, hi, scanned, violations, best[0], best[1])
-
-
-def _rows_for_points(
-    points: Sequence[int],
-    rows: Sequence[CheckpointRow] | None,
-    segment_size: int,
-    workers: int,
-) -> list[CheckpointRow]:
-    if rows is None:
-        return accumulate_checkpoints(points[-1], points, segment_size, workers)
-    if len(rows) != len(points) or any(r.x != p for r, p in zip(rows, points)):
-        raise ValueError("precomputed rows do not match the requested points")
-    return list(rows)
 
 
 def pi_table(limit: int) -> np.ndarray:
@@ -213,16 +201,10 @@ def chebyshev_dyadic_check(
     return _combined_report("chebyshev_dyadic", lo, hi, ys, [dyadic, telescoped])
 
 
-def mertens_residual_scan(
-    points: Sequence[int],
-    rows: Sequence[CheckpointRow] | None = None,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
-) -> list[tuple[int, float]]:
-    """r(x) = A(x) - ln x at each point; raises if |r| ever exceeds the cap."""
-    if points[0] < 2:
-        raise ValueError(f"residual scan needs points >= 2, got {points[0]}")
-    rows = _rows_for_points(points, rows, segment_size, workers)
+def mertens_residual_scan(rows: Sequence[CheckpointRow]) -> list[tuple[int, float]]:
+    """r(x) = A(x) - ln x at each row; raises if |r| ever exceeds the cap."""
+    if rows[0].x < 2:
+        raise ValueError(f"residual scan needs points >= 2, got {rows[0].x}")
     out = [(r.x, r.a - math.log(r.x)) for r in rows]
     for x, r in out:
         if abs(r) > RESIDUAL_CAP:
@@ -243,16 +225,10 @@ def residual_caps_check(rows: Sequence[CheckpointRow]) -> list[BoundReport]:
     ]
 
 
-def euler_lower_bound_check(
-    points: Sequence[int],
-    rows: Sequence[CheckpointRow] | None = None,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
-) -> BoundReport:
+def euler_lower_bound_check(rows: Sequence[CheckpointRow]) -> BoundReport:
     """Scan ln ln n <= S(n) + Q(n) and S(n) >= ln ln n - euler_slack."""
-    if points[0] < 2:
-        raise ValueError(f"euler lower bound needs points >= 2, got {points[0]}")
-    rows = _rows_for_points(points, rows, segment_size, workers)
+    if rows[0].x < 2:
+        raise ValueError(f"euler lower bound needs points >= 2, got {rows[0].x}")
     cols = rows_as_arrays(rows)
     xs = cols["x"]
     lnln = np.log(np.log(xs.astype(np.float64)))
@@ -263,18 +239,12 @@ def euler_lower_bound_check(
     )
 
 
-def rosser_schoenfeld_check(
-    points: Sequence[int],
-    rows: Sequence[CheckpointRow] | None = None,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
-) -> RosserSchoenfeldCheck:
+def rosser_schoenfeld_check(rows: Sequence[CheckpointRow]) -> RosserSchoenfeldCheck:
     """Two-sided envelope ln ln n + B +/- corrections, for n >= 286."""
-    if points[0] < CONSTANTS.rs_min_n:
+    if rows[0].x < CONSTANTS.rs_min_n:
         raise ValueError(
-            f"envelope holds for n >= {CONSTANTS.rs_min_n}, got point {points[0]}"
+            f"envelope holds for n >= {CONSTANTS.rs_min_n}, got point {rows[0].x}"
         )
-    rows = _rows_for_points(points, rows, segment_size, workers)
     cols = rows_as_arrays(rows)
     xs = cols["x"]
     s = cols["s"]
@@ -299,37 +269,18 @@ def envelope_halfwidth(x: float) -> float:
     return 1.0 / (2.0 * math.log(x) ** 2)
 
 
-def estimate_mertens_B(
-    x: int,
-    s_value: float | None = None,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
-) -> float:
-    """S(x) - ln ln x; within envelope_halfwidth(x) of B for x >= 286."""
+def estimate_mertens_B(x: int, s: float) -> float:
+    """S(x) - ln ln x, given s = S(x); within envelope_halfwidth(x) of B for x >= 286."""
     if x < CONSTANTS.rs_min_n:
         raise ValueError(f"estimate needs x >= {CONSTANTS.rs_min_n}, got {x}")
-    if s_value is None:
-        s_value = accumulate_checkpoints(x, [x], segment_size, workers)[0].s
-    return s_value - math.log(math.log(x))
-
-
-@dataclass
-class ExtrapolationQuery:
-    """A threshold far beyond sieve range, given as log10(x)."""
-
-    log10_x: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.log10_x) or self.log10_x <= 0.0:
-            raise ValueError(f"log10_x must be finite and positive, got {self.log10_x}")
+    return s - math.log(math.log(x))
 
 
 _LOG10_FLOOR = 1.0 / math.log(10.0)
 
 
-def extrapolate_sum(query: ExtrapolationQuery | float) -> float:
+def extrapolate_sum(log10_x: float) -> float:
     """ln ln x + B without ever forming x, from log10(x) alone."""
-    log10_x = query.log10_x if isinstance(query, ExtrapolationQuery) else float(query)
     if not math.isfinite(log10_x) or log10_x <= _LOG10_FLOOR:
         raise ValueError(f"extrapolation needs log10_x > 1/ln(10), got {log10_x}")
     return math.log(log10_x * math.log(10.0)) + CONSTANTS.B

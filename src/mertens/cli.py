@@ -1,7 +1,7 @@
-"""Command-line front end: table, verify, estimate-b, extrapolate, bench.
+"""Command-line front end: table, verify, estimate-b, extrapolate.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 resource exhaustion (sieve cap exceeded).
+3 resource exhaustion (sieve cap exceeded, or out of memory).
 """
 
 from __future__ import annotations
@@ -11,12 +11,11 @@ import json
 import math
 import random
 import sys
-import time
 from dataclasses import dataclass
 
 from . import __version__, bounds, identities
 from .bounds import CONSTANTS
-from .sieve import DEFAULT_SEGMENT_SIZE, SieveLimitError, iter_prime_arrays, primes_array
+from .sieve import DEFAULT_SEGMENT_SIZE, SieveLimitError, primes_array
 from .sums import accumulate_checkpoints
 
 EXIT_OK = 0
@@ -68,10 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp: argparse.ArgumentParser, n_default: int) -> None:
+    def add_sieve(sp: argparse.ArgumentParser, n_default: int) -> None:
         sp.add_argument("--n-max", default=str(n_default), metavar="N")
         sp.add_argument("--segment-size", default=str(DEFAULT_SEGMENT_SIZE), metavar="K")
         sp.add_argument("--workers", default="1", metavar="W")
+
+    def add_output(sp: argparse.ArgumentParser) -> None:
         sp.add_argument(
             "--format",
             dest="output_format",
@@ -81,43 +82,39 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", dest="output_path", default=None, metavar="PATH")
 
     table = sub.add_parser("table", help="sums and prime counts at checkpoints")
-    add_common(table, DEFAULT_TABLE_N_MAX)
+    add_sieve(table, DEFAULT_TABLE_N_MAX)
+    add_output(table)
     table.add_argument("--checkpoints", default=None, metavar="a,b,c")
     table.add_argument("--preset", choices=("decades",), default=None)
 
+    # verify writes only its text report to stdout, so it takes no output flags.
     verify = sub.add_parser("verify", help="run every identity and bound check")
-    add_common(verify, DEFAULT_VERIFY_N_MAX)
+    add_sieve(verify, DEFAULT_VERIFY_N_MAX)
 
     est = sub.add_parser("estimate-b", help="S(x) - ln ln x at x = --n-max")
-    add_common(est, DEFAULT_TABLE_N_MAX)
+    add_sieve(est, DEFAULT_TABLE_N_MAX)
+    add_output(est)
 
     extra = sub.add_parser("extrapolate", help="ln ln x + B from log10(x) alone")
     extra.add_argument("--log10-x", required=True, metavar="V")
-    extra.add_argument(
-        "--format", dest="output_format", choices=("text", "csv", "json"), default="text"
-    )
-    extra.add_argument("--out", dest="output_path", default=None, metavar="PATH")
-
-    bench = sub.add_parser("bench", help="time the sieve and accumulation passes")
-    add_common(bench, DEFAULT_TABLE_N_MAX)
+    add_output(extra)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
+    if "output_format" in args:
+        cfg.output_format = args.output_format
+        cfg.output_path = args.output_path
     if args.command == "extrapolate":
         try:
             cfg.log10_x = float(args.log10_x)
         except ValueError:
             raise ConfigError(f"--log10-x expects a number, got {args.log10_x!r}") from None
-        cfg.output_format = args.output_format
-        cfg.output_path = args.output_path
         return cfg
     cfg.n_max = _parse_count(args.n_max, "n-max")
     cfg.segment_size = _parse_count(args.segment_size, "segment-size")
     cfg.workers = _parse_count(args.workers, "workers")
-    cfg.output_format = args.output_format
-    cfg.output_path = args.output_path
     if cfg.n_max < 0:
         raise ConfigError(f"--n-max must be non-negative, got {cfg.n_max}")
     if cfg.segment_size < 1:
@@ -231,9 +228,8 @@ def _run_table(cfg: RunConfig) -> int:
 
 
 def _run_estimate_b(cfg: RunConfig) -> int:
-    b_hat = bounds.estimate_mertens_B(
-        cfg.n_max, segment_size=cfg.segment_size, workers=cfg.workers
-    )
+    (row,) = accumulate_checkpoints(cfg.n_max, [cfg.n_max], cfg.segment_size, cfg.workers)
+    b_hat = bounds.estimate_mertens_B(cfg.n_max, row.s)
     width = bounds.envelope_halfwidth(cfg.n_max)
     if cfg.output_format == "json":
         text = (
@@ -252,7 +248,7 @@ def _run_estimate_b(cfg: RunConfig) -> int:
 
 
 def _run_extrapolate(cfg: RunConfig) -> int:
-    value = bounds.extrapolate_sum(bounds.ExtrapolationQuery(cfg.log10_x))
+    value = bounds.extrapolate_sum(cfg.log10_x)
     if cfg.output_format == "json":
         text = (
             json.dumps(
@@ -264,41 +260,6 @@ def _run_extrapolate(cfg: RunConfig) -> int:
         text = f"log10_x,extrapolated\n{cfg.log10_x!r},{value!r}\n"
     else:
         text = f"{value:.2f}\n"
-    _emit(cfg, text)
-    return EXIT_OK
-
-
-def _run_bench(cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
-    count = sum(
-        len(arr) for _, _, arr in iter_prime_arrays(cfg.n_max, cfg.segment_size, cfg.workers)
-    )
-    t1 = time.perf_counter()
-    pts = _decade_checkpoints(cfg.n_max) or [cfg.n_max]
-    rows = accumulate_checkpoints(cfg.n_max, pts, cfg.segment_size, cfg.workers)
-    t2 = time.perf_counter()
-    sieve_s, sums_s = t1 - t0, t2 - t1
-    rate = count / sieve_s if sieve_s > 0 else float("inf")
-    if cfg.output_format == "json":
-        text = (
-            json.dumps(
-                {
-                    "n_max": cfg.n_max,
-                    "pi": count,
-                    "s_last": rows[-1].s,
-                    "sieve_seconds": sieve_s,
-                    "sums_seconds": sums_s,
-                    "primes_per_second": rate,
-                },
-                separators=(",", ":"),
-            )
-            + "\n"
-        )
-    else:
-        text = (
-            f"n_max={cfg.n_max} pi={count} s_last={rows[-1].s:.6f} "
-            f"sieve={sieve_s:.3f}s sums={sums_s:.3f}s rate={rate:.3e} primes/s\n"
-        )
     _emit(cfg, text)
     return EXIT_OK
 
@@ -358,26 +319,24 @@ def _check_abel_random(cases: int) -> CheckResult:
     )
 
 
-def _check_stieltjes(cfg: RunConfig) -> CheckResult:
-    limit = min(10**5, cfg.n_max)
-    grid = identities.stieltjes_grid(limit, prime_limit=min(10**4, limit))
-    results = identities.stieltjes_scan(grid, cfg.segment_size, cfg.workers)
+def _check_stieltjes(rows, primes) -> CheckResult:
+    results = identities.stieltjes_scan(rows, primes)
     worst = max(v.rel_diff for _, v in results)
     ok = all(v.passed for _, v in results)
     return CheckResult(
         "stieltjes_partial_integration",
         ok,
-        f"points={len(results)} max_x={limit} worst_rel_diff={worst:.3e}",
+        f"points={len(results)} max_x={rows[-1].x} worst_rel_diff={worst:.3e}",
     )
 
 
-def _check_factorial(cfg: RunConfig) -> CheckResult:
-    ns = list(range(1, min(2000, cfg.n_max) + 1))
-    ns += [x for x in (10**4, 10**5) if x <= cfg.n_max]
+def _check_factorial(n_max: int, primes) -> CheckResult:
+    ns = list(range(1, min(2000, n_max) + 1))
+    ns += [x for x in (10**4, 10**5) if x <= n_max]
     worst = 0.0
     ok = True
     for n in ns:
-        check = identities.factorial_log_identity(n)
+        check = identities.factorial_log_identity(n, primes)
         worst = max(worst, check.identity.rel_diff)
         ok = ok and check.identity.passed and check.stirling_ok
     return CheckResult(
@@ -385,13 +344,13 @@ def _check_factorial(cfg: RunConfig) -> CheckResult:
     )
 
 
-def _check_legendre_reconstruction(limit: int) -> CheckResult:
-    ok = True
-    for n in range(0, limit + 1):
-        recon = 1
-        for p in primes_array(n).tolist():
-            recon *= p ** identities.legendre_vp(n, p)
-        ok = ok and recon == math.factorial(n)
+def _check_legendre_reconstruction(limit: int, primes) -> CheckResult:
+    small = primes[: primes.searchsorted(limit, side="right")].tolist()
+    ok = all(
+        math.prod(p ** identities.legendre_vp(n, p) for p in small if p <= n)
+        == math.factorial(n)
+        for n in range(limit + 1)
+    )
     return CheckResult(
         "legendre_factorial_reconstruction", ok, f"n<={limit} exact big-integer"
     )
@@ -413,30 +372,15 @@ def _check_euler_products() -> CheckResult:
     )
 
 
-def _check_bounds_suite(cfg: RunConfig) -> list[CheckResult]:
-    n_max = cfg.n_max
-    rs_ints = list(range(CONSTANTS.rs_min_n, min(10**5, n_max) + 1))
-    rs_logs = (
-        bounds.log_spaced_integers(CONSTANTS.rs_min_n, n_max) if n_max > 10**5 else []
-    )
-    rs_pts = sorted(set(rs_ints) | set(rs_logs))
-    euler_pts = primes_array(min(10**6, n_max)).tolist()
-    cap_pts = bounds.log_spaced_integers(2, min(10**7, n_max))
-    decades = _decade_checkpoints(n_max)
-    union = sorted(set(rs_pts) | set(euler_pts) | set(cap_pts) | set(decades) | {n_max})
-    rows = accumulate_checkpoints(n_max, union, cfg.segment_size, cfg.workers)
-    by_x = {row.x: row for row in rows}
-
+def _check_row_bounds(
+    n_max: int, by_x: dict, rs_pts: list[int], euler_pts: list[int], cap_pts: list[int]
+) -> list[CheckResult]:
     def pick(pts):
         return [by_x[p] for p in pts]
 
-    out = [
-        _from_report(bounds.binomial_prime_product_scan(1, 2000)),
-        _from_report(bounds.chebyshev_dyadic_check(16, min(10**6, n_max))),
-        _from_report(bounds.euler_lower_bound_check(euler_pts, rows=pick(euler_pts))),
-    ]
+    out = [_from_report(bounds.euler_lower_bound_check(pick(euler_pts)))]
 
-    rs = bounds.rosser_schoenfeld_check(rs_pts, rows=pick(rs_pts))
+    rs = bounds.rosser_schoenfeld_check(pick(rs_pts))
     out.append(_from_report(rs.symmetric))
     asym = _from_report(rs.asymmetric, gating=False)
     asym.detail += " (tightened upper variant is false near n=286; informational)"
@@ -466,8 +410,8 @@ def _check_bounds_suite(cfg: RunConfig) -> list[CheckResult]:
         worst = math.inf
         worst_k = ks[0]
         for k in ks:
-            b_lo = bounds.estimate_mertens_B(10**k, s_value=by_x[10**k].s)
-            b_hi = bounds.estimate_mertens_B(10 ** (k + 1), s_value=by_x[10 ** (k + 1)].s)
+            b_lo = bounds.estimate_mertens_B(10**k, by_x[10**k].s)
+            b_hi = bounds.estimate_mertens_B(10 ** (k + 1), by_x[10 ** (k + 1)].s)
             allowance = 1.0 / (2.0 * (k * math.log(10.0)) ** 2)
             margin = allowance - abs(b_lo - b_hi)
             if margin < worst:
@@ -480,7 +424,7 @@ def _check_bounds_suite(cfg: RunConfig) -> list[CheckResult]:
             )
         )
 
-    b_hat = bounds.estimate_mertens_B(n_max, s_value=by_x[n_max].s)
+    b_hat = bounds.estimate_mertens_B(n_max, by_x[n_max].s)
     out.append(
         CheckResult(
             "mertens_b_estimate",
@@ -493,20 +437,50 @@ def _check_bounds_suite(cfg: RunConfig) -> list[CheckResult]:
 
 
 def _run_verify(cfg: RunConfig) -> int:
-    if cfg.n_max < CONSTANTS.rs_min_n:
+    n_max = cfg.n_max
+    if n_max < CONSTANTS.rs_min_n:
         raise ConfigError(
             f"verify needs --n-max >= {CONSTANTS.rs_min_n} "
-            f"(Rosser-Schoenfeld scan), got {cfg.n_max}"
+            f"(Rosser-Schoenfeld scan), got {n_max}"
         )
+    # One prime array and one accumulate pass serve every check; the checks
+    # only read them.  Checks that read no rows run before the pass, so that
+    # their temporaries (about 60 MB in chebyshev_dyadic_check at 1e6) are
+    # freed before the rows exist.
+    primes = primes_array(min(10**6, n_max))
     results = [
         _check_log_bound_grid(),
         _check_abel_random(ABEL_RANDOM_CASES),
-        _check_stieltjes(cfg),
-        _check_factorial(cfg),
-        _check_legendre_reconstruction(200),
+        _check_factorial(n_max, primes),
+        _check_legendre_reconstruction(200, primes),
         _check_euler_products(),
+        _from_report(bounds.binomial_prime_product_scan(1, 2000)),
+        _from_report(bounds.chebyshev_dyadic_check(16, min(10**6, n_max))),
     ]
-    results.extend(_check_bounds_suite(cfg))
+
+    stieltjes_pts = identities.stieltjes_grid(min(10**5, n_max), prime_limit=min(10**4, n_max))
+    rs_ints = list(range(CONSTANTS.rs_min_n, min(10**5, n_max) + 1))
+    rs_logs = (
+        bounds.log_spaced_integers(CONSTANTS.rs_min_n, n_max) if n_max > 10**5 else []
+    )
+    rs_pts = sorted(set(rs_ints) | set(rs_logs))
+    euler_pts = primes.tolist()
+    cap_pts = bounds.log_spaced_integers(2, min(10**7, n_max))
+    union = sorted(
+        set(rs_pts)
+        | set(euler_pts)
+        | set(cap_pts)
+        | set(stieltjes_pts)
+        | set(_decade_checkpoints(n_max))
+        | {n_max}
+    )
+    by_x = {
+        row.x: row
+        for row in accumulate_checkpoints(n_max, union, cfg.segment_size, cfg.workers)
+    }
+    # Reported third, after the abel check.
+    results.insert(2, _check_stieltjes([by_x[x] for x in stieltjes_pts], primes))
+    results.extend(_check_row_bounds(n_max, by_x, rs_pts, euler_pts, cap_pts))
     failures = sum(1 for c in results if c.gating and not c.passed)
     for c in results:
         print(f"{c.status:<4} {c.name:<38} {c.detail}")
@@ -527,14 +501,16 @@ def main(argv: list[str] | None = None) -> int:
             return _run_verify(cfg)
         if cfg.command == "estimate-b":
             return _run_estimate_b(cfg)
-        if cfg.command == "extrapolate":
-            return _run_extrapolate(cfg)
-        return _run_bench(cfg)
+        return _run_extrapolate(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SieveLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import log_spaced_integers
-from .sieve import DEFAULT_SEGMENT_SIZE, primes_array
-from .sums import accumulate_checkpoints
+from .sieve import primes_array
+from .sums import CheckpointRow
 
 EPS = sys.float_info.epsilon
 
@@ -111,23 +111,16 @@ def _stieltjes_rhs(x: int, primes: np.ndarray) -> float:
     return k / float(x) + integral
 
 
-def stieltjes_identity_check(
-    x: int,
-    primes: np.ndarray | None = None,
-    s_lhs: float | None = None,
-) -> IdentityVerdict:
-    """S(x) against pi(x)/x + integral(pi(t)/t^2, t=1.9..x), exactly.
+def stieltjes_identity_check(x: int, primes: np.ndarray, s_lhs: float) -> IdentityVerdict:
+    """S(x) = s_lhs against pi(x)/x + integral(pi(t)/t^2, t=1.9..x), exactly.
 
-    pi vanishes on [1.9, 2), so the literal lower limit 1.9 contributes
-    nothing; it is kept to match the partial-integration statement.
+    primes is ascending and holds every prime <= x.  pi vanishes on
+    [1.9, 2), so the literal lower limit 1.9 contributes nothing; it is kept
+    to match the partial-integration statement.
     """
     x = int(x)
     if x < 2:
         raise ValueError(f"identity needs x >= 2, got {x}")
-    if primes is None:
-        primes = primes_array(x)
-    if s_lhs is None:
-        s_lhs = accumulate_checkpoints(x, [x])[0].s
     return _verdict(s_lhs, _stieltjes_rhs(x, primes), REL_TOL_EXACT)
 
 
@@ -142,20 +135,12 @@ def stieltjes_grid(limit: int, prime_limit: int = 10**4) -> list[int]:
 
 
 def stieltjes_scan(
-    xs: Sequence[int],
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
+    rows: Sequence[CheckpointRow], primes: np.ndarray
 ) -> list[tuple[int, IdentityVerdict]]:
-    """stieltjes_identity_check at many thresholds from one sieve pass."""
-    pts = sorted({int(x) for x in xs})
-    if not pts or pts[0] < 2:
+    """stieltjes_identity_check at every row; primes holds every prime <= rows[-1].x."""
+    if not rows or rows[0].x < 2:
         raise ValueError("scan needs a non-empty list of thresholds >= 2")
-    rows = accumulate_checkpoints(pts[-1], pts, segment_size, workers)
-    primes = primes_array(pts[-1])
-    return [
-        (row.x, stieltjes_identity_check(row.x, primes=primes, s_lhs=row.s))
-        for row in rows
-    ]
+    return [(row.x, stieltjes_identity_check(row.x, primes, row.s)) for row in rows]
 
 
 def _require_prime(p: int) -> None:
@@ -187,19 +172,19 @@ class FactorialLogCheck:
     stirling_ok: bool
 
 
-def factorial_log_identity(n: int) -> FactorialLogCheck:
+def factorial_log_identity(n: int, primes: np.ndarray) -> FactorialLogCheck:
     """ln(n!) summed directly against its prime-power decomposition.
 
     lhs = sum of ln j for j = 2..n; rhs = sum over primes p <= n of
-    ln(p) * vp(n!).  Also reports the weak-Stirling ratio, which stays in
+    ln(p) * vp(n!), taken from the ascending array primes, which must hold
+    every prime <= n.  Also reports the weak-Stirling ratio, which stays in
     [-1, 0] because (n/e)^n <= n! <= n^n.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     lhs = math.fsum(np.log(np.arange(2, n + 1, dtype=np.float64)).tolist())
-    rhs = math.fsum(
-        math.log(p) * _vp_unchecked(n, p) for p in primes_array(n).tolist()
-    )
+    ps = primes[: np.searchsorted(primes, n, side="right")].tolist()
+    rhs = math.fsum(math.log(p) * _vp_unchecked(n, p) for p in ps)
     ratio = (lhs - n * math.log(n)) / n
     return FactorialLogCheck(
         identity=_verdict(lhs, rhs, REL_TOL_LOG_SUMS),

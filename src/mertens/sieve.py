@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -185,42 +184,8 @@ def iter_checkpoint_events(
         k += 1
 
 
-@dataclass
-class PrimeStream:
-    """Ascending stream of all primes <= upper_bound."""
-
-    upper_bound: int
-    segment_size: int = DEFAULT_SEGMENT_SIZE
-    workers: int = 1
-
-    def __post_init__(self) -> None:
-        _check_request(self.upper_bound, self.segment_size, self.workers)
-
-    def arrays(self) -> Iterator[tuple[int, int, np.ndarray]]:
-        return iter_prime_arrays(self.upper_bound, self.segment_size, self.workers)
-
-    def __iter__(self) -> Iterator[int]:
-        for _, _, arr in self.arrays():
-            yield from arr.tolist()
-
-
-@dataclass
-class PiCheckpoint:
-    x: int
-    pi_x: int
-
-
-def primes_up_to(
-    n: int,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
-) -> PrimeStream:
-    """All primes <= n, ascending; empty when n < 2."""
-    return PrimeStream(n, segment_size, workers)
-
-
 def primes_array(n: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
-    """Materialized int64 array of all primes <= n (small n convenience)."""
+    """Materialized int64 array of all primes <= n, ascending."""
     chunks = [arr for _, _, arr in iter_prime_arrays(n, segment_size)]
     if not chunks:
         return np.empty(0, dtype=np.int64)
@@ -237,21 +202,3 @@ def _validate_points(points: Sequence[int]) -> list[int]:
     if pts[0] < 0:
         raise ValueError(f"checkpoints must be non-negative, got {pts[0]}")
     return pts
-
-
-def pi_at(
-    points: Sequence[int],
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
-) -> list[PiCheckpoint]:
-    """Exact prime counts pi(x) at each point, from a single sieve pass."""
-    pts = _validate_points(points)
-    arrays = iter_prime_arrays(pts[-1], segment_size, workers)
-    count = 0
-    rows: list[PiCheckpoint] = []
-    for kind, payload in iter_checkpoint_events(arrays, pts):
-        if kind == "terms":
-            count += len(payload)
-        else:
-            rows.append(PiCheckpoint(payload, count))
-    return rows

@@ -126,8 +126,8 @@ def test_criterion_03_extrapolation():
 
 def test_criterion_04_mertens_constant(shared_scan):
     failures = []
-    b8 = estimate_mertens_B(10**8, s_value=shared_scan.by_x[10**8].s)
-    b6 = estimate_mertens_B(10**6, s_value=shared_scan.by_x[10**6].s)
+    b8 = estimate_mertens_B(10**8, shared_scan.by_x[10**8].s)
+    b6 = estimate_mertens_B(10**6, shared_scan.by_x[10**6].s)
     if abs(b8 - CONSTANTS.B) > 1.6e-3:
         failures.append(f"B(1e8)={b8!r} off by {abs(b8 - CONSTANTS.B):.2e}")
     if abs(b6 - CONSTANTS.B) > 2.7e-3:
@@ -140,9 +140,8 @@ def test_criterion_04_mertens_constant(shared_scan):
 
 
 def _rs_check(shared_scan):
-    points = shared_scan.rs_points
-    rows = [shared_scan.by_x[x] for x in points]
-    return rosser_schoenfeld_check(points, rows=rows)
+    rows = [shared_scan.by_x[x] for x in shared_scan.rs_points]
+    return rosser_schoenfeld_check(rows)
 
 
 def test_criterion_05_envelope_symmetric_variant(shared_scan):
@@ -190,15 +189,16 @@ def test_criterion_06_exact_identities():
     if worst > 1e-12:
         failures.append(f"abel worst rel_diff {worst:.3e}")
 
+    primes = primes_array(10**5)
     grid = stieltjes_grid(10**5, prime_limit=10**4)
-    stj = stieltjes_scan(grid)
+    stj = stieltjes_scan(accumulate_checkpoints(grid[-1], grid), primes)
     worst_stj = max(v.rel_diff for _, v in stj)
     if worst_stj > 1e-12:
         failures.append(f"stieltjes worst rel_diff {worst_stj:.3e}")
 
     worst_fact = 0.0
     for n in list(range(1, 2001)) + [10**4, 10**5]:
-        check = factorial_log_identity(n)
+        check = factorial_log_identity(n, primes)
         worst_fact = max(worst_fact, check.identity.rel_diff)
         if not check.stirling_ok:
             failures.append(f"stirling ratio out of range at n={n}")
@@ -233,7 +233,7 @@ def test_criterion_07_exact_inequality_chain(shared_scan):
         failures.append("log bound grid")
     points = shared_scan.euler_points
     rows = [shared_scan.by_x[x] for x in points]
-    euler = euler_lower_bound_check(points, rows=rows)
+    euler = euler_lower_bound_check(rows)
     if euler.violations:
         failures.append(f"euler lower bound: {euler.violations} violations")
     report(

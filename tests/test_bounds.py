@@ -4,7 +4,6 @@ import pytest
 
 from mertens.bounds import (
     CONSTANTS,
-    ExtrapolationQuery,
     binomial_prime_product_check,
     binomial_prime_product_scan,
     chebyshev_dyadic_check,
@@ -19,6 +18,10 @@ from mertens.bounds import (
     pi_table,
 )
 from mertens.sums import accumulate_checkpoints
+
+
+def rows_at(*points):
+    return accumulate_checkpoints(points[-1], points)
 
 
 # --- prime product <= central binomial <= 4^n --------------------------------
@@ -98,15 +101,14 @@ def test_chebyshev_domain_errors():
 
 
 def test_residual_at_two_hand_value():
-    (x, r), = mertens_residual_scan([2])
+    (x, r), = mertens_residual_scan(rows_at(2))
     assert x == 2
     assert math.isclose(r, math.log(2.0) / 2.0 - math.log(2.0), abs_tol=1e-15)
 
 
 def test_residual_capped_and_settling(shared_scan):
-    points = shared_scan.cap_points
-    rows = [shared_scan.by_x[x] for x in points]
-    pairs = mertens_residual_scan(points, rows=rows)
+    rows = [shared_scan.by_x[x] for x in shared_scan.cap_points]
+    pairs = mertens_residual_scan(rows)
     assert all(abs(r) <= 2.0 for _, r in pairs)
     # r settles onto a plateau near -1.33, deeper than anything in [2, 1e3],
     # so "settling" means the min-max band narrows, not that |r| shrinks.
@@ -118,7 +120,7 @@ def test_residual_capped_and_settling(shared_scan):
 
 def test_residual_domain_error():
     with pytest.raises(ValueError):
-        mertens_residual_scan([1, 10])
+        mertens_residual_scan(rows_at(1, 10))
 
 
 def test_caps_reports_on_checkpoints(shared_scan):
@@ -131,7 +133,7 @@ def test_caps_reports_on_checkpoints(shared_scan):
 
 
 def test_euler_lower_bound_hand_values():
-    rep = euler_lower_bound_check([3])
+    rep = euler_lower_bound_check(rows_at(3))
     assert rep.violations == 0
     lnln3 = math.log(math.log(3.0))
     assert math.isclose(lnln3, 0.0940, abs_tol=5e-4)
@@ -141,28 +143,28 @@ def test_euler_lower_bound_hand_values():
 
 
 def test_euler_lower_bound_allows_two():
-    rep = euler_lower_bound_check([2])
+    rep = euler_lower_bound_check(rows_at(2))
     assert rep.violations == 0  # ln ln 2 < 0 makes both forms easy
 
 
 def test_euler_lower_bound_on_primes(shared_scan):
     points = shared_scan.euler_points
     rows = [shared_scan.by_x[x] for x in points]
-    rep = euler_lower_bound_check(points, rows=rows)
+    rep = euler_lower_bound_check(rows)
     assert rep.violations == 0
     assert rep.scanned == 2 * len(points)
 
 
 def test_euler_lower_bound_domain_error():
     with pytest.raises(ValueError):
-        euler_lower_bound_check([1, 5])
+        euler_lower_bound_check(rows_at(1, 5))
 
 
 # --- Rosser-Schoenfeld envelope ------------------------------------------------
 
 
 def test_envelope_at_286_separates_the_two_variants():
-    check = rosser_schoenfeld_check([286])
+    check = rosser_schoenfeld_check(rows_at(286))
     assert check.symmetric.violations == 0
     assert math.isclose(check.symmetric.worst_margin, 4.0002e-4, rel_tol=1e-3)
     # the tightened upper variant fails right at the threshold
@@ -173,37 +175,38 @@ def test_envelope_at_286_separates_the_two_variants():
 def test_envelope_scan_census(shared_scan):
     points = shared_scan.rs_points
     rows = [shared_scan.by_x[x] for x in points]
-    check = rosser_schoenfeld_check(points, rows=rows)
+    check = rosser_schoenfeld_check(rows)
     assert check.symmetric.violations == 0
     assert check.symmetric.worst_margin > 0.0
     # measured once with exact arithmetic and frozen: the tightened variant
     # fails on exactly 467 integers, all in [286, 1675]
     dense = [x for x in points if x <= 10**5]
     dense_rows = [shared_scan.by_x[x] for x in dense]
-    dense_check = rosser_schoenfeld_check(dense, rows=dense_rows)
+    dense_check = rosser_schoenfeld_check(dense_rows)
     assert dense_check.asymmetric.violations == 467
     assert dense_check.asymmetric.worst_arg == 286
 
 
 def test_envelope_domain_error():
     with pytest.raises(ValueError):
-        rosser_schoenfeld_check([285, 400])
+        rosser_schoenfeld_check(rows_at(285, 400))
 
 
 # --- Mertens constant and extrapolation ----------------------------------------
 
 
 def test_estimate_b_at_1e6_and_286():
-    assert abs(estimate_mertens_B(10**6) - CONSTANTS.B) < 0.003
-    assert abs(estimate_mertens_B(286) - CONSTANTS.B) < 0.0157
+    r285, r286, r6 = rows_at(285, 286, 10**6)
+    assert abs(estimate_mertens_B(10**6, r6.s) - CONSTANTS.B) < 0.003
+    assert abs(estimate_mertens_B(286, r286.s) - CONSTANTS.B) < 0.0157
     with pytest.raises(ValueError):
-        estimate_mertens_B(285)
+        estimate_mertens_B(285, r285.s)
 
 
 def test_estimate_b_cauchy_sequence(shared_scan):
     for k in range(3, 8):
-        b_lo = estimate_mertens_B(10**k, s_value=shared_scan.by_x[10**k].s)
-        b_hi = estimate_mertens_B(10 ** (k + 1), s_value=shared_scan.by_x[10 ** (k + 1)].s)
+        b_lo = estimate_mertens_B(10**k, shared_scan.by_x[10**k].s)
+        b_hi = estimate_mertens_B(10 ** (k + 1), shared_scan.by_x[10 ** (k + 1)].s)
         assert abs(b_lo - b_hi) <= 1.0 / (2.0 * (k * math.log(10.0)) ** 2)
 
 
@@ -232,9 +235,6 @@ def test_extrapolation_domain_errors():
     for bad in (0.2, 1.0 / math.log(10.0), -3.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             extrapolate_sum(bad)
-    with pytest.raises(ValueError):
-        ExtrapolationQuery(-1.0)
-    assert extrapolate_sum(ExtrapolationQuery(2.0)) == extrapolate_sum(2.0)
 
 
 # --- scan plumbing ---------------------------------------------------------------

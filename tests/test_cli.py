@@ -1,6 +1,7 @@
 import json
 import math
 
+import mertens.cli
 from mertens import __version__
 from mertens.cli import main
 from mertens.sums import accumulate_checkpoints
@@ -132,6 +133,17 @@ def test_resource_exhaustion_exit_3(monkeypatch, capsys):
     assert "exceeds" in err
 
 
+def test_memory_error_exit_3(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 GiB")
+
+    monkeypatch.setattr(mertens.cli, "accumulate_checkpoints", exhausted)
+    code, out, err = run_cli(["table", "--n-max", "1e6"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "error: out of memory: Unable to allocate 8.00 GiB\n"
+
+
 def test_extrapolate_prints_two_decimals(capsys):
     code, out, _ = run_cli(["extrapolate", "--log10-x", "100"], capsys)
     assert code == 0
@@ -167,18 +179,28 @@ def test_estimate_b_below_threshold_exit_2(capsys):
     assert code == 2
 
 
-def test_bench_smoke(capsys):
-    code, out, _ = run_cli(["bench", "--n-max", "1e4"], capsys)
-    assert code == 0
-    assert "pi=1229" in out
-
-
 def test_verify_small_scale_passes(capsys):
     code, out, _ = run_cli(["verify", "--n-max", "300"], capsys)
     assert code == 0
     assert "rs_envelope_symmetric" in out
     assert "NOTE rs_envelope_asymmetric_upper" in out
     assert "exit 0" in out
+
+
+def test_verify_rejects_format_flag(capsys):
+    code, out, err = run_cli(["verify", "--n-max", "1e4", "--format", "json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--format" in err
+
+
+def test_verify_rejects_out_flag(tmp_path, capsys):
+    path = tmp_path / "v.json"
+    code, out, err = run_cli(["verify", "--n-max", "1e4", "--out", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--out" in err
+    assert not path.exists()
 
 
 def test_verify_rejects_small_n_max(capsys):

@@ -17,6 +17,8 @@ from mertens.identities import (
     stieltjes_identity_check,
     stieltjes_scan,
 )
+from mertens.sieve import primes_array
+from mertens.sums import accumulate_checkpoints
 
 
 # --- -ln(1-x) <= x + x^2 ---------------------------------------------------
@@ -114,15 +116,20 @@ def test_abel_window_validation():
 # --- partial integration against the prime-counting step function ----------
 
 
+def stieltjes_at(x):
+    s = accumulate_checkpoints(x, [x])[0].s
+    return stieltjes_identity_check(x, primes_array(x), s)
+
+
 def test_stieltjes_at_two_is_exact():
-    v = stieltjes_identity_check(2)
+    v = stieltjes_at(2)
     assert v.lhs == 0.5
     assert v.rhs == 0.5
     assert v.passed
 
 
 def test_stieltjes_at_three_hand_value():
-    v = stieltjes_identity_check(3)
+    v = stieltjes_at(3)
     five_sixths = float(Fraction(5, 6))
     assert math.isclose(v.lhs, five_sixths, rel_tol=1e-15)
     assert math.isclose(v.rhs, five_sixths, rel_tol=1e-15)
@@ -130,19 +137,19 @@ def test_stieltjes_at_three_hand_value():
 
 
 def test_stieltjes_at_1e5():
-    v = stieltjes_identity_check(10**5)
+    v = stieltjes_at(10**5)
     assert v.rel_diff <= 1e-12
 
 
 def test_stieltjes_small_grid():
     xs = stieltjes_grid(10**4, prime_limit=10**3)
-    results = stieltjes_scan(xs)
+    results = stieltjes_scan(accumulate_checkpoints(xs[-1], xs), primes_array(xs[-1]))
     assert all(v.rel_diff <= 1e-12 for _, v in results)
 
 
 def test_stieltjes_domain_error():
     with pytest.raises(ValueError):
-        stieltjes_identity_check(1)
+        stieltjes_at(1)
 
 
 # --- Legendre's formula ----------------------------------------------------
@@ -161,8 +168,6 @@ def test_legendre_rejects_composite_p():
 
 
 def test_legendre_reconstructs_factorials():
-    from mertens.sieve import primes_array
-
     for n in range(0, 61):
         recon = 1
         for p in primes_array(n).tolist():
@@ -174,7 +179,7 @@ def test_legendre_reconstructs_factorials():
 
 
 def test_factorial_log_trivial_n1():
-    check = factorial_log_identity(1)
+    check = factorial_log_identity(1, primes_array(1))
     assert check.identity.lhs == 0.0
     assert check.identity.rhs == 0.0
     assert check.stirling_ratio == 0.0
@@ -182,24 +187,25 @@ def test_factorial_log_trivial_n1():
 
 
 def test_factorial_log_n10():
-    check = factorial_log_identity(10)
+    check = factorial_log_identity(10, primes_array(10))
     assert math.isclose(check.identity.lhs, math.log(3628800.0), rel_tol=1e-14)
     assert check.identity.rel_diff <= 1e-10
     assert check.identity.passed
 
 
 def test_factorial_log_range_and_large_n():
+    primes = primes_array(10**5)  # one shared array; each n takes the primes <= n
     for n in list(range(1, 201)) + [10**5]:
-        check = factorial_log_identity(n)
+        check = factorial_log_identity(n, primes)
         assert check.identity.passed
         assert check.stirling_ok
-    big = factorial_log_identity(10**5)
+    big = factorial_log_identity(10**5, primes)
     assert -1.0 < big.stirling_ratio < 0.0
 
 
 def test_factorial_log_domain_error():
     with pytest.raises(ValueError):
-        factorial_log_identity(0)
+        factorial_log_identity(0, primes_array(10))
 
 
 # --- finite Euler product ----------------------------------------------------

@@ -5,30 +5,27 @@ import pytest
 
 from mertens.sieve import (
     DEFAULT_SEGMENT_SIZE,
-    PiCheckpoint,
-    PrimeStream,
     SieveLimitError,
     iter_prime_arrays,
-    pi_at,
     primes_array,
-    primes_up_to,
 )
+from mertens.sums import accumulate_checkpoints
 
 from conftest import TRIAL_LIMIT, dense_sieve_flags, trial_is_prime
 
 
 def test_no_primes_below_two():
-    assert list(primes_up_to(0)) == []
-    assert list(primes_up_to(1)) == []
-    assert list(primes_up_to(2)) == [2]
+    assert primes_array(0).tolist() == []
+    assert primes_array(1).tolist() == []
+    assert primes_array(2).tolist() == [2]
 
 
 def test_primes_up_to_ten():
-    assert list(primes_up_to(10)) == [2, 3, 5, 7]
+    assert primes_array(10).tolist() == [2, 3, 5, 7]
 
 
 def test_primes_up_to_hundred_against_trial_division():
-    got = list(primes_up_to(100))
+    got = primes_array(100).tolist()
     want = [n for n in range(2, 101) if trial_is_prime(n)]
     assert got == want
     assert len(got) == 25
@@ -43,14 +40,14 @@ def test_stream_is_ascending_and_starts_at_two():
 
 def test_counts_match_trial_division_at_every_n(trial_flags_100k):
     points = list(range(1, TRIAL_LIMIT + 1))
-    rows = pi_at(points)
+    rows = accumulate_checkpoints(TRIAL_LIMIT, points)
     want = np.cumsum(trial_flags_100k)
     got = np.array([r.pi_x for r in rows])
     assert np.array_equal(got, want[1:])
 
 
 def test_consecutive_pi_deltas_are_zero_or_one():
-    rows = pi_at(list(range(1, 3000)))
+    rows = accumulate_checkpoints(2999, list(range(1, 3000)))
     counts = np.array([r.pi_x for r in rows])
     deltas = np.diff(counts)
     assert set(np.unique(deltas)) <= {0, 1}
@@ -74,15 +71,19 @@ def test_monotone_prefix_property():
         assert np.array_equal(small, big[: len(small)])
 
 
+def pi_pairs(points):
+    return [(r.x, r.pi_x) for r in accumulate_checkpoints(points[-1], points)]
+
+
 def test_pi_at_examples():
-    assert pi_at([1]) == [PiCheckpoint(1, 0)]
-    assert pi_at([10, 100]) == [PiCheckpoint(10, 4), PiCheckpoint(100, 25)]
+    assert pi_pairs([1]) == [(1, 0)]
+    assert pi_pairs([10, 100]) == [(10, 4), (100, 25)]
 
 
 def test_pi_at_million_against_independent_sieve():
     flags = dense_sieve_flags(10**6)
-    assert pi_at([10**6]) == [PiCheckpoint(10**6, sum(flags))]
-    assert pi_at([10**6])[0].pi_x == 78498
+    assert pi_pairs([10**6]) == [(10**6, sum(flags))]
+    assert pi_pairs([10**6])[0][1] == 78498
 
 
 def test_segment_boundaries_against_trial_division():
@@ -107,38 +108,40 @@ def test_worker_count_does_not_change_stream():
 
 def test_pi_at_input_validation():
     with pytest.raises(ValueError):
-        pi_at([])
+        accumulate_checkpoints(100, [])
     with pytest.raises(ValueError):
-        pi_at([100, 10])
+        accumulate_checkpoints(100, [100, 10])
     with pytest.raises(ValueError):
-        pi_at([5, 5])
+        accumulate_checkpoints(100, [5, 5])
 
 
 def test_stream_parameter_validation():
     with pytest.raises(ValueError):
-        primes_up_to(-1)
+        primes_array(-1)
     with pytest.raises(ValueError):
-        primes_up_to(100, segment_size=0)
+        primes_array(100, segment_size=0)
     with pytest.raises(ValueError):
-        primes_up_to(100, workers=0)
+        next(iter_prime_arrays(100, workers=0))
 
 
 def test_sieve_cap_is_enforced(monkeypatch):
     monkeypatch.setenv("MERTENS_MAX_SIEVE", "1000")
     with pytest.raises(SieveLimitError):
-        primes_up_to(2000)
+        primes_array(2000)
     with pytest.raises(SieveLimitError):
-        pi_at([2000])
-    assert list(primes_up_to(1000))[-1] == 997  # cap itself still allowed
+        accumulate_checkpoints(2000, [2000])
+    assert primes_array(1000)[-1] == 997  # cap itself still allowed
 
 
 def test_sieve_cap_env_validation(monkeypatch):
     monkeypatch.setenv("MERTENS_MAX_SIEVE", "not-a-number")
     with pytest.raises(ValueError):
-        primes_up_to(10)
+        primes_array(10)
 
 
 def test_prime_stream_carries_configuration():
-    stream = PrimeStream(50, segment_size=8, workers=1)
-    assert stream.upper_bound == 50
-    assert list(stream) == [n for n in range(2, 51) if trial_is_prime(n)]
+    arrays = list(iter_prime_arrays(50, segment_size=8, workers=1))
+    assert arrays[-1][1] == 51  # coverage ends just past the bound
+    assert np.concatenate([arr for _, _, arr in arrays]).tolist() == [
+        n for n in range(2, 51) if trial_is_prime(n)
+    ]
