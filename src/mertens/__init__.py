@@ -38,14 +38,13 @@ from .sieve import (
     SieveLimitError,
     primes_array,
 )
-from .sums import CheckpointRow, CompensatedAccumulator, accumulate_checkpoints
+from .sums import CompensatedAccumulator, accumulate_checkpoints
 
 __all__ = [
     "__version__",
     "CONSTANTS",
     "MERTENS_B",
     "BoundReport",
-    "CheckpointRow",
     "CompensatedAccumulator",
     "DEFAULT_SEGMENT_SIZE",
     "EulerProductCheck",

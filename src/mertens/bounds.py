@@ -4,19 +4,20 @@ Every check reports a BoundReport with the worst signed margin (rhs - lhs)
 over the scanned range; a violation is a strictly negative margin.  Scans
 are exhaustive where cheap and log-spaced (256 points per decade) beyond,
 since the scanned quantities only change at primes.  Checks of S, A, Q and
-L take the CheckpointRows they scan and never start a pass of their own.
+L take the checkpoint columns they scan (see accumulate_checkpoints) and
+never start a pass of their own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .sieve import primes_array
-from .sums import CheckpointRow, L_CAP, Q_CAP, rows_as_arrays
+from .sums import L_CAP, Q_CAP
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,7 @@ MERTENS_B = CONSTANTS.B
 RESIDUAL_CAP = 2.0  # |A(x) - ln x| stays below this on every scanned range
 
 LOG_POINTS_PER_DECADE = 256
+CHEBYSHEV_BLOCK = 1 << 16  # integers per block, so peak memory is flat in hi
 
 
 @dataclass
@@ -61,18 +63,17 @@ class RosserSchoenfeldCheck:
 
 
 def _combined_report(
-    name: str, lo: int, hi: int, xs: np.ndarray, margin_sets: Sequence[np.ndarray]
+    name: str, lo: int, hi: int, scans: Iterable[tuple[np.ndarray, np.ndarray]]
 ) -> BoundReport:
+    """Fold (arguments, margins) pairs; ties go to the lowest argument."""
     scanned = 0
     violations = 0
     best = (math.inf, -1)
-    for margins in margin_sets:
+    for xs, margins in scans:
         scanned += len(margins)
         violations += int(np.count_nonzero(margins < 0.0))
         i = int(np.argmin(margins))  # first occurrence = lowest argument
-        cand = (float(margins[i]), int(xs[i]))
-        if cand[0] < best[0] or (cand[0] == best[0] and cand[1] < best[1]):
-            best = cand
+        best = min(best, (float(margins[i]), int(xs[i])))
     return BoundReport(name, lo, hi, scanned, violations, best[0], best[1])
 
 
@@ -186,6 +187,7 @@ def chebyshev_dyadic_check(
 
     For integer y in [lo, hi]: pi(y) - pi(y/2) <= 4 (y/ln y - (y/2)/ln(y/2));
     for integer x in the same range: pi(x) - pi(16) <= 4 x / ln x.
+    The range is scanned in blocks of CHEBYSHEV_BLOCK integers.
     """
     if lo < 16:
         raise ValueError(f"dyadic bound needs lo >= 16, got {lo}")
@@ -193,60 +195,62 @@ def chebyshev_dyadic_check(
         raise ValueError(f"empty scan range [{lo}, {hi}]")
     if pi is None:
         pi = pi_table(hi)
-    ys = np.arange(lo, hi + 1, dtype=np.int64)
-    yf = ys.astype(np.float64)
-    half = yf * 0.5
-    dyadic = 4.0 * (yf / np.log(yf) - half / np.log(half)) - (pi[ys] - pi[ys // 2])
-    telescoped = 4.0 * yf / np.log(yf) - (pi[ys] - pi[16]).astype(np.float64)
-    return _combined_report("chebyshev_dyadic", lo, hi, ys, [dyadic, telescoped])
+
+    def blocks():
+        for start in range(lo, hi + 1, CHEBYSHEV_BLOCK):
+            ys = np.arange(start, min(start + CHEBYSHEV_BLOCK, hi + 1), dtype=np.int64)
+            yf = ys.astype(np.float64)
+            half = yf * 0.5
+            yield ys, 4.0 * (yf / np.log(yf) - half / np.log(half)) - (pi[ys] - pi[ys // 2])
+            yield ys, 4.0 * yf / np.log(yf) - (pi[ys] - pi[16]).astype(np.float64)
+
+    return _combined_report("chebyshev_dyadic", lo, hi, blocks())
 
 
-def mertens_residual_scan(rows: Sequence[CheckpointRow]) -> list[tuple[int, float]]:
-    """r(x) = A(x) - ln x at each row; raises if |r| ever exceeds the cap."""
-    if rows[0].x < 2:
-        raise ValueError(f"residual scan needs points >= 2, got {rows[0].x}")
-    out = [(r.x, r.a - math.log(r.x)) for r in rows]
+def mertens_residual_scan(cols: dict[str, np.ndarray]) -> list[tuple[int, float]]:
+    """r(x) = A(x) - ln x at each checkpoint; raises if |r| ever exceeds the cap."""
+    xs = cols["x"].tolist()
+    if xs[0] < 2:
+        raise ValueError(f"residual scan needs points >= 2, got {xs[0]}")
+    out = [(x, a - math.log(x)) for x, a in zip(xs, cols["a"].tolist())]
     for x, r in out:
         if abs(r) > RESIDUAL_CAP:
             raise ArithmeticError(f"residual cap {RESIDUAL_CAP} exceeded: r({x}) = {r}")
     return out
 
 
-def residual_caps_check(rows: Sequence[CheckpointRow]) -> list[BoundReport]:
+def residual_caps_check(cols: dict[str, np.ndarray]) -> list[BoundReport]:
     """Cap checks at precomputed checkpoints: |A - ln x| <= 2, Q < 1.645, L < 2."""
-    cols = rows_as_arrays(rows)
     xs = cols["x"]
     lo, hi = int(xs[0]), int(xs[-1])
     resid = np.abs(cols["a"] - np.log(xs.astype(np.float64)))
     return [
-        _combined_report("mertens_residual_cap", lo, hi, xs, [RESIDUAL_CAP - resid]),
-        _combined_report("q_cap", lo, hi, xs, [Q_CAP - cols["q"]]),
-        _combined_report("l_cap", lo, hi, xs, [L_CAP - cols["l"]]),
+        _combined_report("mertens_residual_cap", lo, hi, [(xs, RESIDUAL_CAP - resid)]),
+        _combined_report("q_cap", lo, hi, [(xs, Q_CAP - cols["q"])]),
+        _combined_report("l_cap", lo, hi, [(xs, L_CAP - cols["l"])]),
     ]
 
 
-def euler_lower_bound_check(rows: Sequence[CheckpointRow]) -> BoundReport:
+def euler_lower_bound_check(cols: dict[str, np.ndarray]) -> BoundReport:
     """Scan ln ln n <= S(n) + Q(n) and S(n) >= ln ln n - euler_slack."""
-    if rows[0].x < 2:
-        raise ValueError(f"euler lower bound needs points >= 2, got {rows[0].x}")
-    cols = rows_as_arrays(rows)
     xs = cols["x"]
+    if xs[0] < 2:
+        raise ValueError(f"euler lower bound needs points >= 2, got {xs[0]}")
     lnln = np.log(np.log(xs.astype(np.float64)))
     with_q = (cols["s"] + cols["q"]) - lnln
     with_slack = cols["s"] - (lnln - CONSTANTS.euler_slack)
     return _combined_report(
-        "euler_lower_bound", int(xs[0]), int(xs[-1]), xs, [with_q, with_slack]
+        "euler_lower_bound", int(xs[0]), int(xs[-1]), [(xs, with_q), (xs, with_slack)]
     )
 
 
-def rosser_schoenfeld_check(rows: Sequence[CheckpointRow]) -> RosserSchoenfeldCheck:
+def rosser_schoenfeld_check(cols: dict[str, np.ndarray]) -> RosserSchoenfeldCheck:
     """Two-sided envelope ln ln n + B +/- corrections, for n >= 286."""
-    if rows[0].x < CONSTANTS.rs_min_n:
-        raise ValueError(
-            f"envelope holds for n >= {CONSTANTS.rs_min_n}, got point {rows[0].x}"
-        )
-    cols = rows_as_arrays(rows)
     xs = cols["x"]
+    if xs[0] < CONSTANTS.rs_min_n:
+        raise ValueError(
+            f"envelope holds for n >= {CONSTANTS.rs_min_n}, got point {xs[0]}"
+        )
     s = cols["s"]
     ln = np.log(xs.astype(np.float64))
     lnln = np.log(ln)
@@ -256,10 +260,10 @@ def rosser_schoenfeld_check(rows: Sequence[CheckpointRow]) -> RosserSchoenfeldCh
     lo, hi = int(xs[0]), int(xs[-1])
     return RosserSchoenfeldCheck(
         symmetric=_combined_report(
-            "rs_envelope_symmetric", lo, hi, xs, [lower, upper_sym]
+            "rs_envelope_symmetric", lo, hi, [(xs, lower), (xs, upper_sym)]
         ),
         asymmetric=_combined_report(
-            "rs_envelope_asymmetric_upper", lo, hi, xs, [lower, upper_asym]
+            "rs_envelope_asymmetric_upper", lo, hi, [(xs, lower), (xs, upper_asym)]
         ),
     )
 

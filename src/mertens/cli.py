@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from . import __version__, bounds, identities
 from .bounds import CONSTANTS
-from .sieve import DEFAULT_SEGMENT_SIZE, SieveLimitError, primes_array
-from .sums import accumulate_checkpoints
+from .sieve import DEFAULT_SEGMENT_SIZE, SieveLimitError, _check_request, primes_array
+from .sums import accumulate_checkpoints, columns_at
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -158,17 +158,17 @@ def _emit(cfg: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _table_cells(rows) -> list[dict]:
+def _table_cells(cols) -> list[dict]:
     cells = []
-    for r in rows:
-        lnln = math.log(math.log(float(r.x)))
+    for x, pi, s, a in zip(*(cols[k].tolist() for k in ("x", "pi", "s", "a"))):
+        lnln = math.log(math.log(float(x)))
         cells.append(
             {
-                "x": r.x,
-                "pi": r.pi_x,
-                "s": r.s,
-                "a": r.a,
-                "s_minus_lnln": r.s - lnln,
+                "x": x,
+                "pi": pi,
+                "s": s,
+                "a": a,
+                "s_minus_lnln": s - lnln,
                 "extrapolated": lnln + CONSTANTS.B,
             }
         )
@@ -222,14 +222,14 @@ def _run_table(cfg: RunConfig) -> int:
         raise ConfigError(
             f"--n-max {cfg.n_max} leaves the decades preset empty; pass --checkpoints"
         )
-    rows = accumulate_checkpoints(cfg.n_max, pts, cfg.segment_size, cfg.workers)
-    _emit(cfg, _render_table(_table_cells(rows), cfg.output_format, cfg.n_max))
+    cols = accumulate_checkpoints(cfg.n_max, pts, cfg.segment_size, cfg.workers)
+    _emit(cfg, _render_table(_table_cells(cols), cfg.output_format, cfg.n_max))
     return EXIT_OK
 
 
 def _run_estimate_b(cfg: RunConfig) -> int:
-    (row,) = accumulate_checkpoints(cfg.n_max, [cfg.n_max], cfg.segment_size, cfg.workers)
-    b_hat = bounds.estimate_mertens_B(cfg.n_max, row.s)
+    cols = accumulate_checkpoints(cfg.n_max, [cfg.n_max], cfg.segment_size, cfg.workers)
+    b_hat = bounds.estimate_mertens_B(cfg.n_max, cols["s"].item())
     width = bounds.envelope_halfwidth(cfg.n_max)
     if cfg.output_format == "json":
         text = (
@@ -319,14 +319,14 @@ def _check_abel_random(cases: int) -> CheckResult:
     )
 
 
-def _check_stieltjes(rows, primes) -> CheckResult:
-    results = identities.stieltjes_scan(rows, primes)
+def _check_stieltjes(cols, primes) -> CheckResult:
+    results = identities.stieltjes_scan(cols, primes)
     worst = max(v.rel_diff for _, v in results)
     ok = all(v.passed for _, v in results)
     return CheckResult(
         "stieltjes_partial_integration",
         ok,
-        f"points={len(results)} max_x={rows[-1].x} worst_rel_diff={worst:.3e}",
+        f"points={len(results)} max_x={results[-1][0]} worst_rel_diff={worst:.3e}",
     )
 
 
@@ -372,28 +372,26 @@ def _check_euler_products() -> CheckResult:
     )
 
 
-def _check_row_bounds(
-    n_max: int, by_x: dict, rs_pts: list[int], euler_pts: list[int], cap_pts: list[int]
+def _check_checkpoint_bounds(
+    n_max: int, cols: dict, rs_pts: list[int], euler_pts: list[int], cap_pts: list[int]
 ) -> list[CheckResult]:
-    def pick(pts):
-        return [by_x[p] for p in pts]
+    out = [_from_report(bounds.euler_lower_bound_check(columns_at(cols, euler_pts)))]
 
-    out = [_from_report(bounds.euler_lower_bound_check(pick(euler_pts)))]
-
-    rs = bounds.rosser_schoenfeld_check(pick(rs_pts))
+    rs = bounds.rosser_schoenfeld_check(columns_at(cols, rs_pts))
     out.append(_from_report(rs.symmetric))
     asym = _from_report(rs.asymmetric, gating=False)
     asym.detail += " (tightened upper variant is false near n=286; informational)"
     out.append(asym)
 
-    out.extend(_from_report(rep) for rep in bounds.residual_caps_check(pick(cap_pts)))
+    out.extend(
+        _from_report(rep) for rep in bounds.residual_caps_check(columns_at(cols, cap_pts))
+    )
 
     env_pts = [x for x in cap_pts if x >= CONSTANTS.rs_min_n]
     worst = math.inf
     worst_x = env_pts[0]
-    for x in env_pts:
-        row = by_x[x]
-        err = abs(row.s - bounds.extrapolate_sum(math.log10(x)))
+    for x, s in zip(env_pts, columns_at(cols, env_pts)["s"].tolist()):
+        err = abs(s - bounds.extrapolate_sum(math.log10(x)))
         margin = bounds.envelope_halfwidth(x) + 1e-9 - err
         if margin < worst:
             worst, worst_x = margin, x
@@ -409,9 +407,10 @@ def _check_row_bounds(
     if ks:
         worst = math.inf
         worst_k = ks[0]
-        for k in ks:
-            b_lo = bounds.estimate_mertens_B(10**k, by_x[10**k].s)
-            b_hi = bounds.estimate_mertens_B(10 ** (k + 1), by_x[10 ** (k + 1)].s)
+        decade_s = columns_at(cols, [10**k for k in ks + [ks[-1] + 1]])["s"].tolist()
+        for k, s_lo, s_hi in zip(ks, decade_s, decade_s[1:]):
+            b_lo = bounds.estimate_mertens_B(10**k, s_lo)
+            b_hi = bounds.estimate_mertens_B(10 ** (k + 1), s_hi)
             allowance = 1.0 / (2.0 * (k * math.log(10.0)) ** 2)
             margin = allowance - abs(b_lo - b_hi)
             if margin < worst:
@@ -424,7 +423,7 @@ def _check_row_bounds(
             )
         )
 
-    b_hat = bounds.estimate_mertens_B(n_max, by_x[n_max].s)
+    b_hat = bounds.estimate_mertens_B(n_max, columns_at(cols, [n_max])["s"].item())
     out.append(
         CheckResult(
             "mertens_b_estimate",
@@ -443,10 +442,11 @@ def _run_verify(cfg: RunConfig) -> int:
             f"verify needs --n-max >= {CONSTANTS.rs_min_n} "
             f"(Rosser-Schoenfeld scan), got {n_max}"
         )
+    # Some checks run before the accumulate pass, so refuse what the pass
+    # would refuse (sieve cap, worker and segment ceilings) before any runs.
+    _check_request(n_max, cfg.segment_size, cfg.workers)
     # One prime array and one accumulate pass serve every check; the checks
-    # only read them.  Checks that read no rows run before the pass, so that
-    # their temporaries (about 60 MB in chebyshev_dyadic_check at 1e6) are
-    # freed before the rows exist.
+    # only read them.
     primes = primes_array(min(10**6, n_max))
     results = [
         _check_log_bound_grid(),
@@ -474,13 +474,10 @@ def _run_verify(cfg: RunConfig) -> int:
         | set(_decade_checkpoints(n_max))
         | {n_max}
     )
-    by_x = {
-        row.x: row
-        for row in accumulate_checkpoints(n_max, union, cfg.segment_size, cfg.workers)
-    }
+    cols = accumulate_checkpoints(n_max, union, cfg.segment_size, cfg.workers)
     # Reported third, after the abel check.
-    results.insert(2, _check_stieltjes([by_x[x] for x in stieltjes_pts], primes))
-    results.extend(_check_row_bounds(n_max, by_x, rs_pts, euler_pts, cap_pts))
+    results.insert(2, _check_stieltjes(columns_at(cols, stieltjes_pts), primes))
+    results.extend(_check_checkpoint_bounds(n_max, cols, rs_pts, euler_pts, cap_pts))
     failures = sum(1 for c in results if c.gating and not c.passed)
     for c in results:
         print(f"{c.status:<4} {c.name:<38} {c.detail}")

@@ -18,7 +18,6 @@ import numpy as np
 
 from .bounds import log_spaced_integers
 from .sieve import primes_array
-from .sums import CheckpointRow
 
 EPS = sys.float_info.epsilon
 
@@ -135,12 +134,15 @@ def stieltjes_grid(limit: int, prime_limit: int = 10**4) -> list[int]:
 
 
 def stieltjes_scan(
-    rows: Sequence[CheckpointRow], primes: np.ndarray
+    cols: dict[str, np.ndarray], primes: np.ndarray
 ) -> list[tuple[int, IdentityVerdict]]:
-    """stieltjes_identity_check at every row; primes holds every prime <= rows[-1].x."""
-    if not rows or rows[0].x < 2:
+    """stieltjes_identity_check at every checkpoint; primes holds every prime <= the last x."""
+    xs = cols["x"].tolist()
+    if not xs or xs[0] < 2:
         raise ValueError("scan needs a non-empty list of thresholds >= 2")
-    return [(row.x, stieltjes_identity_check(row.x, primes, row.s)) for row in rows]
+    return [
+        (x, stieltjes_identity_check(x, primes, s)) for x, s in zip(xs, cols["s"].tolist())
+    ]
 
 
 def _require_prime(p: int) -> None:

@@ -19,12 +19,16 @@ import numpy as np
 DEFAULT_SEGMENT_SIZE = 1 << 18  # integers per window; ~128 KiB of odd flags
 DEFAULT_MAX_SIEVE_BOUND = 1 << 40
 MAX_BOUND_ENV = "MERTENS_MAX_SIEVE"
+# Resource ceilings: each worker is one process, and a segment holds
+# segment_size / 2 flags per worker plus its prime array.
+MAX_WORKERS = 64
+MAX_SEGMENT_SIZE = 1 << 24
 
 _TWO = np.array([2], dtype=np.int64)
 
 
 class SieveLimitError(RuntimeError):
-    """Raised when a requested bound exceeds the configured sieve maximum."""
+    """Raised when a request exceeds the sieve maximum or a resource ceiling."""
 
 
 def max_sieve_bound() -> int:
@@ -48,6 +52,12 @@ def _check_request(n: int, segment_size: int, workers: int) -> None:
         raise ValueError(f"segment size must be positive, got {segment_size}")
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")
+    if segment_size > MAX_SEGMENT_SIZE:
+        raise SieveLimitError(
+            f"segment size {segment_size} exceeds the maximum {MAX_SEGMENT_SIZE}"
+        )
+    if workers > MAX_WORKERS:
+        raise SieveLimitError(f"worker count {workers} exceeds the maximum {MAX_WORKERS}")
     cap = max_sieve_bound()
     if n > cap:
         raise SieveLimitError(

@@ -7,13 +7,14 @@ Accumulation is Kahan-Neumaier, applied term by term in ascending prime
 order.  Because the running (sum, compensation) pair is carried across
 segment boundaries, the result depends only on the term sequence, never on
 how the sieve windows were sized or which worker produced them.
+
+Checkpoints come back as columns: one numpy array per quantity, indexed
+like the requested points.
 """
 
 from __future__ import annotations
 
-import os
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,8 +33,6 @@ EPS = sys.float_info.epsilon
 Q_CAP = 1.645
 L_CAP = 2.0
 
-NO_NUMBA_ENV = "MERTENS_NO_NUMBA"
-
 
 def _kahan_neumaier_py(s: float, c: float, terms) -> tuple[float, float]:
     for x in terms:
@@ -44,36 +43,6 @@ def _kahan_neumaier_py(s: float, c: float, terms) -> tuple[float, float]:
             c += (x - t) + s
         s = t
     return s, c
-
-
-def _kahan_neumaier_loop(s, c, arr):  # numba-compilable twin of the above
-    for i in range(arr.shape[0]):
-        x = arr[i]
-        t = s + x
-        if abs(s) >= abs(x):
-            c += (s - t) + x
-        else:
-            c += (x - t) + s
-        s = t
-    return s, c
-
-
-_kernel = None
-
-
-def _array_kernel():
-    """Return the array accumulation kernel, JIT-compiled when available."""
-    global _kernel
-    if _kernel is None:
-        _kernel = lambda s, c, arr: _kahan_neumaier_py(s, c, arr.tolist())
-        if not os.environ.get(NO_NUMBA_ENV):
-            try:
-                from numba import njit
-
-                _kernel = njit(cache=True)(_kahan_neumaier_loop)
-            except ImportError:
-                pass
-    return _kernel
 
 
 class CompensatedAccumulator:
@@ -93,7 +62,9 @@ class CompensatedAccumulator:
         self.sum, self.compensation = _kahan_neumaier_py(self.sum, self.compensation, (x,))
 
     def add_array(self, arr: np.ndarray) -> None:
-        self.sum, self.compensation = _array_kernel()(self.sum, self.compensation, arr)
+        self.sum, self.compensation = _kahan_neumaier_py(
+            self.sum, self.compensation, arr.tolist()
+        )
 
     @property
     def value(self) -> float:
@@ -101,18 +72,6 @@ class CompensatedAccumulator:
 
     def __repr__(self) -> str:
         return f"CompensatedAccumulator({self.value!r})"
-
-
-@dataclass
-class CheckpointRow:
-    """The four prime sums (plus the exact prime count) at threshold x."""
-
-    x: int
-    pi_x: int
-    s: float
-    a: float
-    q: float
-    l: float
 
 
 def _term_arrays(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -127,21 +86,21 @@ def accumulate_checkpoints(
     points: Sequence[int],
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
-) -> list[CheckpointRow]:
-    """One sieve pass emitting a CheckpointRow per requested point.
+) -> dict[str, np.ndarray]:
+    """One sieve pass giving x, pi(x), S, A, Q and L at each requested point.
 
-    Points must be strictly ascending with points[-1] <= n_max.  Rows are
-    bit-identical for any segment size and worker count.
+    Returns one array per key "x", "pi", "s", "a", "q" and "l", with entry i
+    taken at points[i].  Points must be strictly ascending with
+    points[-1] <= n_max.  The columns are bit-identical for any segment size
+    and worker count.
     """
     pts = _validate_points(points)
     if pts[-1] > n_max:
         raise ValueError(f"last checkpoint {pts[-1]} exceeds n_max {n_max}")
-    acc_s = CompensatedAccumulator()
-    acc_a = CompensatedAccumulator()
-    acc_q = CompensatedAccumulator()
-    acc_l = CompensatedAccumulator()
-    count = 0
-    rows: list[CheckpointRow] = []
+    pi = np.zeros(len(pts), dtype=np.int64)
+    s, a, q, l = (np.zeros(len(pts)) for _ in range(4))
+    acc_s, acc_a, acc_q, acc_l = (CompensatedAccumulator() for _ in range(4))
+    count = k = 0
     arrays = iter_prime_arrays(pts[-1], segment_size, workers)
     for kind, payload in iter_checkpoint_events(arrays, pts):
         if kind == "terms":
@@ -152,26 +111,22 @@ def accumulate_checkpoints(
             acc_l.add_array(t_l)
             count += len(payload)
         else:
-            rows.append(
-                CheckpointRow(
-                    x=payload,
-                    pi_x=count,
-                    s=acc_s.value,
-                    a=acc_a.value,
-                    q=acc_q.value,
-                    l=acc_l.value,
-                )
-            )
-    return rows
+            pi[k] = count
+            s[k], a[k], q[k], l[k] = acc_s.value, acc_a.value, acc_q.value, acc_l.value
+            k += 1
+    return {"x": np.array(pts, dtype=np.int64), "pi": pi, "s": s, "a": a, "q": q, "l": l}
 
 
-def rows_as_arrays(rows: Sequence[CheckpointRow]) -> dict[str, np.ndarray]:
-    """Columnar view of checkpoint rows for vectorized scans."""
-    return {
-        "x": np.array([r.x for r in rows], dtype=np.int64),
-        "pi": np.array([r.pi_x for r in rows], dtype=np.int64),
-        "s": np.array([r.s for r in rows], dtype=np.float64),
-        "a": np.array([r.a for r in rows], dtype=np.float64),
-        "q": np.array([r.q for r in rows], dtype=np.float64),
-        "l": np.array([r.l for r in rows], dtype=np.float64),
-    }
+def columns_at(cols: dict[str, np.ndarray], points: Sequence[int]) -> dict[str, np.ndarray]:
+    """The checkpoint columns cols restricted to points, in the order given.
+
+    Every point must be one of cols["x"]; the first that is not raises
+    KeyError.
+    """
+    xs = cols["x"]
+    want = np.asarray(points, dtype=np.int64)
+    idx = np.minimum(np.searchsorted(xs, want), len(xs) - 1)
+    missing = xs[idx] != want
+    if missing.any():
+        raise KeyError(int(want[missing][0]))
+    return {key: col[idx] for key, col in cols.items()}

@@ -17,6 +17,7 @@ import pytest
 from mertens import accumulate_checkpoints
 from mertens.bounds import log_spaced_integers
 from mertens.sieve import primes_array
+from mertens.sums import columns_at
 
 TRIAL_LIMIT = 100_000
 
@@ -57,12 +58,6 @@ def trial_flags_100k() -> np.ndarray:
     return flags
 
 
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernel():
-    # Trigger the (optional) JIT compile before any timed assertions run.
-    accumulate_checkpoints(100, [100])
-
-
 @pytest.fixture(scope="session")
 def shared_scan():
     """One sieve pass to 1e8 with every checkpoint grid the suite needs."""
@@ -78,10 +73,9 @@ def shared_scan():
         | set(cap_points)
         | set(decades_up_to(n_max))
     )
-    rows = accumulate_checkpoints(n_max, points)
-    by_x = {row.x: row for row in rows}
+    cols = accumulate_checkpoints(n_max, points)
     return SimpleNamespace(
-        by_x=by_x,
+        at=lambda pts: columns_at(cols, pts),
         rs_points=sorted(set(rs_ints) | set(rs_logs)),
         euler_points=euler_points,
         cap_points=cap_points,

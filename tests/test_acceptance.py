@@ -57,19 +57,19 @@ def report(criterion: str, failures: list[str], detail: str) -> None:
 
 def test_criterion_01_table_reproduction():
     t0 = time.perf_counter()
-    rows = accumulate_checkpoints(10**6, [10, 10**6])
+    s10, s6 = accumulate_checkpoints(10**6, [10, 10**6])["s"].tolist()
     elapsed = time.perf_counter() - t0
     failures = []
-    if abs(rows[0].s - 1.176) > 5e-4:
-        failures.append(f"S(10)={rows[0].s!r}")
-    if abs(rows[1].s - 2.887) > 5e-4:
-        failures.append(f"S(1e6)={rows[1].s!r}")
+    if abs(s10 - 1.176) > 5e-4:
+        failures.append(f"S(10)={s10!r}")
+    if abs(s6 - 2.887) > 5e-4:
+        failures.append(f"S(1e6)={s6!r}")
     if elapsed >= 1.0:
         failures.append(f"runtime {elapsed:.3f}s >= 1s")
     report(
         "criterion 1 (table reproduction)",
         failures,
-        f"S(10)={rows[0].s:.4f} S(1e6)={rows[1].s:.4f} runtime={elapsed:.3f}s",
+        f"S(10)={s10:.4f} S(1e6)={s6:.4f} runtime={elapsed:.3f}s",
     )
 
 
@@ -78,18 +78,18 @@ def test_criterion_01_table_reproduction():
 )
 def test_criterion_02_large_scale_table():
     t0 = time.perf_counter()
-    rows = accumulate_checkpoints(10**9, decades_up_to(10**9))
+    cols = accumulate_checkpoints(10**9, decades_up_to(10**9))
     single = time.perf_counter() - t0
-    s9 = rows[-1].s
+    s9 = cols["s"][-1].item()
     failures = []
     if abs(s9 - 3.293) > 5e-4:
         failures.append(f"S(1e9)={s9!r}")
     if single >= 180.0:
         failures.append(f"single-threaded runtime {single:.1f}s >= 180s")
     t0 = time.perf_counter()
-    rows8 = accumulate_checkpoints(10**9, decades_up_to(10**9), workers=8)
+    cols8 = accumulate_checkpoints(10**9, decades_up_to(10**9), workers=8)
     eight = time.perf_counter() - t0
-    if rows8 != rows:
+    if any(cols8[k].tobytes() != cols[k].tobytes() for k in cols):
         failures.append("8-worker rows differ from single-threaded rows")
     if multiprocessing.cpu_count() >= 8 and eight >= 60.0:
         failures.append(f"8-worker runtime {eight:.1f}s >= 60s")
@@ -106,14 +106,14 @@ def test_criterion_03_extrapolation():
     v100 = extrapolate_sum(100.0)
     if not 5.65 <= v100 <= 5.75:
         failures.append(f"extrapolate(100)={v100!r}")
-    s6 = accumulate_checkpoints(10**6, [10**6])[0].s
+    s6 = accumulate_checkpoints(10**6, [10**6])["s"].item()
     if f"{extrapolate_sum(6.0):.3f}" != f"{s6:.3f}":
         failures.append(f"extrapolate(6)={extrapolate_sum(6.0)!r} vs S(1e6)={s6!r}")
     v9 = extrapolate_sum(9.0)
     if f"{v9:.3f}" != "3.293":
         failures.append(f"extrapolate(9)={v9!r} does not round to 3.293")
     if LARGE_SCALE:
-        s9 = accumulate_checkpoints(10**9, [10**9]).pop().s
+        s9 = accumulate_checkpoints(10**9, [10**9])["s"].item()
         if f"{v9:.3f}" != f"{s9:.3f}":
             failures.append(f"extrapolate(9) vs sieved S(1e9)={s9!r}")
     report(
@@ -126,8 +126,9 @@ def test_criterion_03_extrapolation():
 
 def test_criterion_04_mertens_constant(shared_scan):
     failures = []
-    b8 = estimate_mertens_B(10**8, shared_scan.by_x[10**8].s)
-    b6 = estimate_mertens_B(10**6, shared_scan.by_x[10**6].s)
+    s6, s8 = shared_scan.at([10**6, 10**8])["s"].tolist()
+    b8 = estimate_mertens_B(10**8, s8)
+    b6 = estimate_mertens_B(10**6, s6)
     if abs(b8 - CONSTANTS.B) > 1.6e-3:
         failures.append(f"B(1e8)={b8!r} off by {abs(b8 - CONSTANTS.B):.2e}")
     if abs(b6 - CONSTANTS.B) > 2.7e-3:
@@ -140,8 +141,7 @@ def test_criterion_04_mertens_constant(shared_scan):
 
 
 def _rs_check(shared_scan):
-    rows = [shared_scan.by_x[x] for x in shared_scan.rs_points]
-    return rosser_schoenfeld_check(rows)
+    return rosser_schoenfeld_check(shared_scan.at(shared_scan.rs_points))
 
 
 def test_criterion_05_envelope_symmetric_variant(shared_scan):
@@ -232,8 +232,7 @@ def test_criterion_07_exact_inequality_chain(shared_scan):
     if not all(log_one_minus_bound(k / 2048.0).passed for k in range(1025)):
         failures.append("log bound grid")
     points = shared_scan.euler_points
-    rows = [shared_scan.by_x[x] for x in points]
-    euler = euler_lower_bound_check(rows)
+    euler = euler_lower_bound_check(shared_scan.at(points))
     if euler.violations:
         failures.append(f"euler lower bound: {euler.violations} violations")
     report(
@@ -247,18 +246,18 @@ def test_criterion_07_exact_inequality_chain(shared_scan):
 def test_criterion_08_residual_caps(shared_scan):
     failures = []
     worst_r, worst_q, worst_l = 0.0, 0.0, 0.0
-    for x in shared_scan.cap_points:
-        row = shared_scan.by_x[x]
-        r = abs(row.a - math.log(x))
+    cols = shared_scan.at(shared_scan.cap_points)
+    for x, a, q, l in zip(*(cols[k].tolist() for k in ("x", "a", "q", "l"))):
+        r = abs(a - math.log(x))
         worst_r = max(worst_r, r)
-        worst_q = max(worst_q, row.q)
-        worst_l = max(worst_l, row.l)
+        worst_q = max(worst_q, q)
+        worst_l = max(worst_l, l)
         if r > 2.0:
             failures.append(f"|A - ln x| = {r!r} at x={x}")
-        if row.q >= 1.645:
-            failures.append(f"Q = {row.q!r} at x={x}")
-        if row.l >= 2.0:
-            failures.append(f"L = {row.l!r} at x={x}")
+        if q >= 1.645:
+            failures.append(f"Q = {q!r} at x={x}")
+        if l >= 2.0:
+            failures.append(f"L = {l!r} at x={x}")
     report(
         "criterion 8 (residual caps to 1e7)",
         failures,
@@ -300,7 +299,7 @@ def test_criterion_09_byte_identical_json(tmp_path):
 
 
 def test_criterion_10_oracle_accuracy_at_1e4():
-    row = accumulate_checkpoints(10**4, [10**4])[0]
+    row = {k: v.item() for k, v in accumulate_checkpoints(10**4, [10**4]).items()}
     primes = primes_array(10**4).tolist()
     failures = []
 
@@ -308,7 +307,7 @@ def test_criterion_10_oracle_accuracy_at_1e4():
     for p in primes:
         num = num * p + den
         den *= p
-    s_err = abs(Fraction(row.s) - Fraction(num, den))
+    s_err = abs(Fraction(row["s"]) - Fraction(num, den))
     if s_err > Fraction(1, 10**11):
         failures.append(f"S err {float(s_err):.2e}")
 
@@ -316,17 +315,17 @@ def test_criterion_10_oracle_accuracy_at_1e4():
     for p in primes:
         num = num * p * p + den
         den *= p * p
-    q_err = abs(Fraction(row.q) - Fraction(num, den))
+    q_err = abs(Fraction(row["q"]) - Fraction(num, den))
     if q_err > Fraction(1, 10**11):
         failures.append(f"Q err {float(q_err):.2e}")
 
     with mp.workprec(256):
         a = mp.fsum(mp.log(p) / p for p in primes)
         l = mp.fsum(mp.log(p) / (mp.mpf(p) * p - p) for p in primes)
-        if abs(row.a - a) > 1e-11:
-            failures.append(f"A err {float(abs(row.a - a)):.2e}")
-        if abs(row.l - l) > 1e-11:
-            failures.append(f"L err {float(abs(row.l - l)):.2e}")
+        if abs(row["a"] - a) > 1e-11:
+            failures.append(f"A err {float(abs(row['a'] - a)):.2e}")
+        if abs(row["l"] - l) > 1e-11:
+            failures.append(f"L err {float(abs(row['l'] - l)):.2e}")
 
     report(
         "criterion 10 (oracle accuracy at 1e4)",

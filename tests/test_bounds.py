@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from mertens.bounds import (
+    CHEBYSHEV_BLOCK,
     CONSTANTS,
     binomial_prime_product_check,
     binomial_prime_product_scan,
@@ -20,7 +22,7 @@ from mertens.bounds import (
 from mertens.sums import accumulate_checkpoints
 
 
-def rows_at(*points):
+def cols_at(*points):
     return accumulate_checkpoints(points[-1], points)
 
 
@@ -90,6 +92,34 @@ def test_chebyshev_scan_to_1e5_is_clean():
     assert rep.worst_margin > 0.0
 
 
+def whole_range_chebyshev(lo, hi, pi):
+    """The dyadic scan as one numpy pass over [lo, hi]: (scanned, violations, worst)."""
+    ys = np.arange(lo, hi + 1, dtype=np.int64)
+    yf = ys.astype(np.float64)
+    half = yf * 0.5
+    dyadic = 4.0 * (yf / np.log(yf) - half / np.log(half)) - (pi[ys] - pi[ys // 2])
+    telescoped = 4.0 * yf / np.log(yf) - (pi[ys] - pi[16]).astype(np.float64)
+    margins = np.concatenate([dyadic, telescoped])
+    worst = min(zip(margins.tolist(), np.concatenate([ys, ys]).tolist()))
+    return len(margins), int(np.count_nonzero(margins < 0.0)), worst
+
+
+def test_chebyshev_blocks_match_whole_range_scan():
+    hi_max = 3 * CHEBYSHEV_BLOCK + 100
+    ranges = [
+        (16, CHEBYSHEV_BLOCK + 15),  # exactly one block
+        (16, CHEBYSHEV_BLOCK + 16),  # one integer into the second block
+        (CHEBYSHEV_BLOCK - 3, 2 * CHEBYSHEV_BLOCK + 40),
+        (16, hi_max),
+    ]
+    # the true pi, and pi(y) = y, which violates the dyadic bound for large y
+    for pi in (pi_table(hi_max), np.arange(hi_max + 1, dtype=np.int64)):
+        for lo, hi in ranges:
+            rep = chebyshev_dyadic_check(lo, hi, pi=pi)
+            got = (rep.scanned, rep.violations, (rep.worst_margin, rep.worst_arg))
+            assert got == whole_range_chebyshev(lo, hi, pi), (lo, hi)
+
+
 def test_chebyshev_domain_errors():
     with pytest.raises(ValueError):
         chebyshev_dyadic_check(15, 100)
@@ -101,14 +131,13 @@ def test_chebyshev_domain_errors():
 
 
 def test_residual_at_two_hand_value():
-    (x, r), = mertens_residual_scan(rows_at(2))
+    (x, r), = mertens_residual_scan(cols_at(2))
     assert x == 2
     assert math.isclose(r, math.log(2.0) / 2.0 - math.log(2.0), abs_tol=1e-15)
 
 
 def test_residual_capped_and_settling(shared_scan):
-    rows = [shared_scan.by_x[x] for x in shared_scan.cap_points]
-    pairs = mertens_residual_scan(rows)
+    pairs = mertens_residual_scan(shared_scan.at(shared_scan.cap_points))
     assert all(abs(r) <= 2.0 for _, r in pairs)
     # r settles onto a plateau near -1.33, deeper than anything in [2, 1e3],
     # so "settling" means the min-max band narrows, not that |r| shrinks.
@@ -120,12 +149,11 @@ def test_residual_capped_and_settling(shared_scan):
 
 def test_residual_domain_error():
     with pytest.raises(ValueError):
-        mertens_residual_scan(rows_at(1, 10))
+        mertens_residual_scan(cols_at(1, 10))
 
 
 def test_caps_reports_on_checkpoints(shared_scan):
-    rows = [shared_scan.by_x[x] for x in shared_scan.cap_points]
-    for rep in residual_caps_check(rows):
+    for rep in residual_caps_check(shared_scan.at(shared_scan.cap_points)):
         assert rep.violations == 0, rep
 
 
@@ -133,7 +161,7 @@ def test_caps_reports_on_checkpoints(shared_scan):
 
 
 def test_euler_lower_bound_hand_values():
-    rep = euler_lower_bound_check(rows_at(3))
+    rep = euler_lower_bound_check(cols_at(3))
     assert rep.violations == 0
     lnln3 = math.log(math.log(3.0))
     assert math.isclose(lnln3, 0.0940, abs_tol=5e-4)
@@ -143,28 +171,27 @@ def test_euler_lower_bound_hand_values():
 
 
 def test_euler_lower_bound_allows_two():
-    rep = euler_lower_bound_check(rows_at(2))
+    rep = euler_lower_bound_check(cols_at(2))
     assert rep.violations == 0  # ln ln 2 < 0 makes both forms easy
 
 
 def test_euler_lower_bound_on_primes(shared_scan):
     points = shared_scan.euler_points
-    rows = [shared_scan.by_x[x] for x in points]
-    rep = euler_lower_bound_check(rows)
+    rep = euler_lower_bound_check(shared_scan.at(points))
     assert rep.violations == 0
     assert rep.scanned == 2 * len(points)
 
 
 def test_euler_lower_bound_domain_error():
     with pytest.raises(ValueError):
-        euler_lower_bound_check(rows_at(1, 5))
+        euler_lower_bound_check(cols_at(1, 5))
 
 
 # --- Rosser-Schoenfeld envelope ------------------------------------------------
 
 
 def test_envelope_at_286_separates_the_two_variants():
-    check = rosser_schoenfeld_check(rows_at(286))
+    check = rosser_schoenfeld_check(cols_at(286))
     assert check.symmetric.violations == 0
     assert math.isclose(check.symmetric.worst_margin, 4.0002e-4, rel_tol=1e-3)
     # the tightened upper variant fails right at the threshold
@@ -174,39 +201,38 @@ def test_envelope_at_286_separates_the_two_variants():
 
 def test_envelope_scan_census(shared_scan):
     points = shared_scan.rs_points
-    rows = [shared_scan.by_x[x] for x in points]
-    check = rosser_schoenfeld_check(rows)
+    check = rosser_schoenfeld_check(shared_scan.at(points))
     assert check.symmetric.violations == 0
     assert check.symmetric.worst_margin > 0.0
     # measured once with exact arithmetic and frozen: the tightened variant
     # fails on exactly 467 integers, all in [286, 1675]
     dense = [x for x in points if x <= 10**5]
-    dense_rows = [shared_scan.by_x[x] for x in dense]
-    dense_check = rosser_schoenfeld_check(dense_rows)
+    dense_check = rosser_schoenfeld_check(shared_scan.at(dense))
     assert dense_check.asymmetric.violations == 467
     assert dense_check.asymmetric.worst_arg == 286
 
 
 def test_envelope_domain_error():
     with pytest.raises(ValueError):
-        rosser_schoenfeld_check(rows_at(285, 400))
+        rosser_schoenfeld_check(cols_at(285, 400))
 
 
 # --- Mertens constant and extrapolation ----------------------------------------
 
 
 def test_estimate_b_at_1e6_and_286():
-    r285, r286, r6 = rows_at(285, 286, 10**6)
-    assert abs(estimate_mertens_B(10**6, r6.s) - CONSTANTS.B) < 0.003
-    assert abs(estimate_mertens_B(286, r286.s) - CONSTANTS.B) < 0.0157
+    s285, s286, s6 = cols_at(285, 286, 10**6)["s"].tolist()
+    assert abs(estimate_mertens_B(10**6, s6) - CONSTANTS.B) < 0.003
+    assert abs(estimate_mertens_B(286, s286) - CONSTANTS.B) < 0.0157
     with pytest.raises(ValueError):
-        estimate_mertens_B(285, r285.s)
+        estimate_mertens_B(285, s285)
 
 
 def test_estimate_b_cauchy_sequence(shared_scan):
+    s = shared_scan.at([10**k for k in range(3, 9)])["s"].tolist()
     for k in range(3, 8):
-        b_lo = estimate_mertens_B(10**k, shared_scan.by_x[10**k].s)
-        b_hi = estimate_mertens_B(10 ** (k + 1), shared_scan.by_x[10 ** (k + 1)].s)
+        b_lo = estimate_mertens_B(10**k, s[k - 3])
+        b_hi = estimate_mertens_B(10 ** (k + 1), s[k - 2])
         assert abs(b_lo - b_hi) <= 1.0 / (2.0 * (k * math.log(10.0)) ** 2)
 
 
@@ -218,16 +244,16 @@ def test_extrapolation_values():
 
 
 def test_extrapolation_matches_sieved_value_at_1e6():
-    s = accumulate_checkpoints(10**6, [10**6])[0].s
+    s = accumulate_checkpoints(10**6, [10**6])["s"].item()
     assert f"{extrapolate_sum(6.0):.3f}" == f"{s:.3f}"
 
 
 def test_extrapolation_consistency_with_sieve(shared_scan):
-    for x in shared_scan.cap_points:
+    cols = shared_scan.at(shared_scan.cap_points)
+    for x, s in zip(cols["x"].tolist(), cols["s"].tolist()):
         if x < CONSTANTS.rs_min_n:
             continue
-        row = shared_scan.by_x[x]
-        err = abs(row.s - extrapolate_sum(math.log10(x)))
+        err = abs(s - extrapolate_sum(math.log10(x)))
         assert err <= envelope_halfwidth(x) + 1e-9
 
 

@@ -4,6 +4,7 @@ import math
 import mertens.cli
 from mertens import __version__
 from mertens.cli import main
+from mertens.sieve import MAX_SEGMENT_SIZE, MAX_WORKERS
 from mertens.sums import accumulate_checkpoints
 
 
@@ -36,10 +37,10 @@ def test_table_json_schema(capsys):
     assert [list(r.keys()) for r in payload["rows"]] == [
         ["x", "pi", "s", "a", "s_minus_lnln", "extrapolated"]
     ] * 2
-    rows = accumulate_checkpoints(100, [10, 100])
+    cols = accumulate_checkpoints(100, [10, 100])
     assert payload["rows"][1]["x"] == 100
     assert payload["rows"][1]["pi"] == 25
-    assert payload["rows"][1]["s"] == rows[1].s  # full binary64 precision survives json
+    assert payload["rows"][1]["s"] == cols["s"][1]  # full binary64 precision survives json
 
 
 def test_table_csv_header_and_roundtrip(capsys):
@@ -48,15 +49,16 @@ def test_table_csv_header_and_roundtrip(capsys):
     lines = out.split("\n")
     assert lines[0] == "x,pi,s,a,s_minus_lnln,extrapolated"
     assert lines[-1] == ""  # exactly one trailing newline
-    rows = accumulate_checkpoints(1000, [10, 100, 1000])
-    for line, row in zip(lines[1:], rows):
+    cols = accumulate_checkpoints(1000, [10, 100, 1000])
+    rows = zip(*(cols[k].tolist() for k in ("x", "pi", "s", "a")))
+    for line, (x, pi, s, a) in zip(lines[1:], rows):
         fields = line.split(",")
-        assert int(fields[0]) == row.x
-        assert int(fields[1]) == row.pi_x
-        assert float(fields[2]) == row.s
-        assert float(fields[3]) == row.a
-        lnln = math.log(math.log(row.x))
-        assert float(fields[4]) == row.s - lnln
+        assert int(fields[0]) == x
+        assert int(fields[1]) == pi
+        assert float(fields[2]) == s
+        assert float(fields[3]) == a
+        lnln = math.log(math.log(x))
+        assert float(fields[4]) == s - lnln
 
 
 def test_table_out_file_matches_stdout(tmp_path, capsys):
@@ -131,6 +133,27 @@ def test_resource_exhaustion_exit_3(monkeypatch, capsys):
     code, _, err = run_cli(["table", "--n-max", "1e6"], capsys)
     assert code == 3
     assert "exceeds" in err
+
+
+def test_resource_ceilings_exit_3(capsys):
+    # --n-max 1e4 is a single segment, so no pool starts and almost nothing is
+    # allocated even if a ceiling were not enforced.
+    too_many = str(MAX_WORKERS + 1)
+    too_big = str(MAX_SEGMENT_SIZE + 1)
+    for argv in (
+        ["table", "--n-max", "1e4", "--workers", too_many],
+        ["table", "--n-max", "1e4", "--segment-size", too_big],
+        ["estimate-b", "--n-max", "1e4", "--workers", too_many],
+        ["verify", "--n-max", "1e4", "--workers", too_many],
+        ["verify", "--n-max", "1e4", "--segment-size", too_big],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3, argv
+        assert out == ""
+        assert "exceeds the maximum" in err
+    at_ceilings = ["--workers", str(MAX_WORKERS), "--segment-size", str(MAX_SEGMENT_SIZE)]
+    code, _, _ = run_cli(["table", "--n-max", "1e4", *at_ceilings], capsys)
+    assert code == 0
 
 
 def test_memory_error_exit_3(monkeypatch, capsys):

@@ -117,7 +117,7 @@ def test_abel_window_validation():
 
 
 def stieltjes_at(x):
-    s = accumulate_checkpoints(x, [x])[0].s
+    s = accumulate_checkpoints(x, [x])["s"].item()
     return stieltjes_identity_check(x, primes_array(x), s)
 
 

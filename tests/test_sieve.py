@@ -40,15 +40,14 @@ def test_stream_is_ascending_and_starts_at_two():
 
 def test_counts_match_trial_division_at_every_n(trial_flags_100k):
     points = list(range(1, TRIAL_LIMIT + 1))
-    rows = accumulate_checkpoints(TRIAL_LIMIT, points)
+    cols = accumulate_checkpoints(TRIAL_LIMIT, points)
     want = np.cumsum(trial_flags_100k)
-    got = np.array([r.pi_x for r in rows])
+    got = cols["pi"]
     assert np.array_equal(got, want[1:])
 
 
 def test_consecutive_pi_deltas_are_zero_or_one():
-    rows = accumulate_checkpoints(2999, list(range(1, 3000)))
-    counts = np.array([r.pi_x for r in rows])
+    counts = accumulate_checkpoints(2999, list(range(1, 3000)))["pi"]
     deltas = np.diff(counts)
     assert set(np.unique(deltas)) <= {0, 1}
 
@@ -72,7 +71,8 @@ def test_monotone_prefix_property():
 
 
 def pi_pairs(points):
-    return [(r.x, r.pi_x) for r in accumulate_checkpoints(points[-1], points)]
+    cols = accumulate_checkpoints(points[-1], points)
+    return list(zip(cols["x"].tolist(), cols["pi"].tolist()))
 
 
 def test_pi_at_examples():

@@ -15,8 +15,7 @@ from mertens.sums import (
     Q_CAP,
     CompensatedAccumulator,
     accumulate_checkpoints,
-    _array_kernel,
-    _kahan_neumaier_py,
+    columns_at,
 )
 
 from conftest import decades_up_to
@@ -67,52 +66,44 @@ def test_add_array_matches_scalar_adds_bitwise():
     assert one.compensation == other.compensation
 
 
-def test_array_kernel_matches_python_reference_bitwise():
-    rng = np.random.default_rng(11)
-    arr = rng.uniform(-1.0, 1.0, size=20000)
-    want = _kahan_neumaier_py(0.125, -3e-18, arr.tolist())
-    got = _array_kernel()(0.125, -3e-18, arr)
-    assert want == tuple(got)
-
-
 def test_single_prime_checkpoint():
-    row = accumulate_checkpoints(10, [2])[0]
-    assert row.pi_x == 1
-    assert row.s == 0.5
-    assert row.q == 0.25
-    assert row.a == row.l  # at x=2 both are ln(2)/2
-    assert math.isclose(row.a, math.log(2.0) / 2.0, rel_tol=0.0, abs_tol=1e-15)
+    row = accumulate_checkpoints(10, [2])
+    assert row["pi"].tolist() == [1]
+    assert row["s"].tolist() == [0.5]
+    assert row["q"].tolist() == [0.25]
+    assert row["a"].tolist() == row["l"].tolist()  # at x=2 both are ln(2)/2
+    assert math.isclose(row["a"].item(), math.log(2.0) / 2.0, rel_tol=0.0, abs_tol=1e-15)
 
 
 def test_table_values_at_ten_and_million():
-    rows = accumulate_checkpoints(10**6, [10, 10**6])
-    assert abs(rows[0].s - 1.176) <= 5e-4
-    assert abs(rows[1].s - 2.887) <= 5e-4
+    s10, s6 = accumulate_checkpoints(10**6, [10, 10**6])["s"].tolist()
+    assert abs(s10 - 1.176) <= 5e-4
+    assert abs(s6 - 2.887) <= 5e-4
 
 
 def test_s_at_1e4_matches_exact_rational_sum():
-    row = accumulate_checkpoints(10**4, [10**4])[0]
-    assert row.pi_x == 1229
+    row = accumulate_checkpoints(10**4, [10**4])
+    assert row["pi"].item() == 1229
     num, den = 0, 1
     for p in primes_array(10**4).tolist():
         num = num * p + den
         den *= p
-    err = abs(Fraction(row.s) - Fraction(num, den))
+    err = abs(Fraction(row["s"].item()) - Fraction(num, den))
     assert err <= Fraction(1, 10**12)
 
 
 def test_all_four_sums_within_1e11_of_oracles_at_1e5():
-    row = accumulate_checkpoints(10**5, [10**5])[0]
+    row = {k: v.item() for k, v in accumulate_checkpoints(10**5, [10**5]).items()}
     primes = primes_array(10**5).tolist()
     with mp.workprec(256):
         s = mp.fsum(mp.mpf(1) / p for p in primes)
         a = mp.fsum(mp.log(p) / p for p in primes)
         q = mp.fsum(mp.mpf(1) / (mp.mpf(p) * p) for p in primes)
         l = mp.fsum(mp.log(p) / (mp.mpf(p) * p - p) for p in primes)
-        assert abs(row.s - s) < 1e-11
-        assert abs(row.a - a) < 1e-11
-        assert abs(row.q - q) < 1e-11
-        assert abs(row.l - l) < 1e-11
+        assert abs(row["s"] - s) < 1e-11
+        assert abs(row["a"] - a) < 1e-11
+        assert abs(row["q"] - q) < 1e-11
+        assert abs(row["l"] - l) < 1e-11
 
 
 def test_rows_bit_identical_for_any_segmentation_and_workers():
@@ -121,38 +112,74 @@ def test_rows_bit_identical_for_any_segmentation_and_workers():
     reference = accumulate_checkpoints(10**5 + 3, points)
     for segment_size in (1024, 4096, 1 << 18, 1 << 20):
         for workers in (1, 3):
-            rows = accumulate_checkpoints(
+            cols = accumulate_checkpoints(
                 10**5 + 3, points, segment_size=segment_size, workers=workers
             )
-            assert rows == reference
+            assert cols.keys() == reference.keys()
+            for key, col in cols.items():
+                assert col.tobytes() == reference[key].tobytes(), key
+
+
+def test_s_and_q_bytes_are_pinned_at_decades(shared_scan):
+    # S and Q use only correctly rounded operations, so these bytes hold on
+    # every IEEE binary64 platform (A and L go through np.log and do not).
+    cols = shared_scan.at(decades_up_to(10**7))
+    assert [repr(v) for v in cols["s"].tolist()] == [
+        "1.1761904761904762",
+        "1.802817201048871",
+        "2.1980801271750874",
+        "2.483059947233561",
+        "2.705272179047264",
+        "2.887328099567673",
+        "3.0414493812797105",
+    ]
+    assert [repr(v) for v in cols["q"].tolist()] == [
+        "0.42151927437641723",
+        "0.45042878826375243",
+        "0.4521204302493046",
+        "0.4522376043399503",
+        "0.4522466177920539",
+        "0.4522473522653741",
+        "0.45224741418100906",
+    ]
+
+
+def test_columns_at_selects_points_and_raises_on_a_missing_one():
+    cols = accumulate_checkpoints(100, [10, 50, 100])
+    picked = columns_at(cols, [100, 10])
+    assert picked["x"].tolist() == [100, 10]
+    assert picked["pi"].tolist() == [25, 4]
+    assert picked["s"].tolist() == [cols["s"][2], cols["s"][0]]
+    for missing in (5, 11, 101):  # below, between and above the checkpoints
+        with pytest.raises(KeyError):
+            columns_at(cols, [10, missing])
 
 
 def test_row_pi_matches_sieve_pi_at():
     points = [10, 97, 1000, 12345]
-    rows = accumulate_checkpoints(12345, points)
+    cols = accumulate_checkpoints(12345, points)
     primes = primes_array(12345)
     counts = np.searchsorted(primes, points, side="right").tolist()
-    assert [r.pi_x for r in rows] == counts
+    assert cols["pi"].tolist() == counts
 
 
 def test_sums_increase_exactly_at_primes():
     points = list(range(2, 60))
-    rows = accumulate_checkpoints(60, points)
-    flags = {r.x: r for r in rows}
+    cols = accumulate_checkpoints(60, points)
     for x in range(3, 60):
-        prev, cur = flags[x - 1], flags[x]
-        if cur.pi_x > prev.pi_x:  # x is prime
-            assert cur.s > prev.s and cur.a > prev.a
-            assert cur.q > prev.q and cur.l > prev.l
+        prev, cur = (columns_at(cols, [y]) for y in (x - 1, x))
+        if cur["pi"] > prev["pi"]:  # x is prime
+            assert cur["s"] > prev["s"] and cur["a"] > prev["a"]
+            assert cur["q"] > prev["q"] and cur["l"] > prev["l"]
         else:
-            assert (cur.s, cur.a, cur.q, cur.l) == (prev.s, prev.a, prev.q, prev.l)
+            assert all(cur[k] == prev[k] for k in "saql")
 
 
 def test_q_and_l_caps_hold_on_checkpoints():
-    rows = accumulate_checkpoints(10**6, decades_up_to(10**6))
-    for row in rows:
-        assert row.q < Q_CAP
-        assert row.l < L_CAP
+    cols = accumulate_checkpoints(10**6, decades_up_to(10**6))
+    for q, l in zip(cols["q"].tolist(), cols["l"].tolist()):
+        assert q < Q_CAP
+        assert l < L_CAP
 
 
 def test_checkpoint_validation():
