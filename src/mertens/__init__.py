@@ -1,8 +1,9 @@
 """Prime-statistics engine for S(x) = sum of 1/p and its companion sums.
 
 Streams primes through a segmented sieve, accumulates the prime harmonic
-sums with compensated arithmetic, and verifies the identities, inequality
-envelopes and constants that govern S(x) = ln ln x + O(1).
+sums exactly (each checkpoint value correctly rounded), and verifies the
+identities, inequality envelopes and constants that govern
+S(x) = ln ln x + O(1).
 """
 
 __version__ = "0.1.0"

@@ -105,30 +105,7 @@ def binomial_prime_product_check(n: int) -> BoundReport:
     Verifies n^(pi(2n) - pi(n)) <= prod_{n < p <= 2n} p <= C(2n, n) <= 4^n.
     Margins are reported in log space (nats); verdicts use exact integers.
     """
-    if not 1 <= n <= 5000:
-        raise ValueError(f"binomial check supports 1 <= n <= 5000, got {n}")
-    ps = [int(p) for p in primes_array(2 * n) if p > n]
-    prod = math.prod(ps)
-    binom = math.comb(2 * n, n)
-    power4 = 4**n
-    npow = n ** len(ps)
-    margins = np.array(
-        [
-            math.log(prod) - math.log(npow),
-            math.log(binom) - math.log(prod),
-            math.log(power4) - math.log(binom),
-        ]
-    )
-    violations = int(npow > prod) + int(prod > binom) + int(binom > power4)
-    return BoundReport(
-        name="binomial_prime_product",
-        lo=n,
-        hi=n,
-        scanned=3,
-        violations=violations,
-        worst_margin=float(margins.min()),
-        worst_arg=n,
-    )
+    return binomial_prime_product_scan(n, n)
 
 
 def binomial_prime_product_scan(lo: int, hi: int) -> BoundReport:

@@ -85,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_sieve(table, DEFAULT_TABLE_N_MAX)
     add_output(table)
     table.add_argument("--checkpoints", default=None, metavar="a,b,c")
-    table.add_argument("--preset", choices=("decades",), default=None)
 
     # verify writes only its text report to stdout, so it takes no output flags.
     verify = sub.add_parser("verify", help="run every identity and bound check")
@@ -115,29 +114,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg.n_max = _parse_count(args.n_max, "n-max")
     cfg.segment_size = _parse_count(args.segment_size, "segment-size")
     cfg.workers = _parse_count(args.workers, "workers")
-    if cfg.n_max < 0:
-        raise ConfigError(f"--n-max must be non-negative, got {cfg.n_max}")
-    if cfg.segment_size < 1:
-        raise ConfigError(f"--segment-size must be positive, got {cfg.segment_size}")
-    if cfg.workers < 1:
-        raise ConfigError(f"--workers must be positive, got {cfg.workers}")
-    if args.command == "table":
-        explicit = getattr(args, "checkpoints", None)
-        if explicit is not None and args.preset is not None:
-            raise ConfigError("--checkpoints and --preset are mutually exclusive")
-        if explicit is not None:
-            pts = [_parse_count(tok, "checkpoints") for tok in explicit.split(",") if tok]
-            if not pts:
-                raise ConfigError("--checkpoints must list at least one threshold")
-            if any(b <= a for a, b in zip(pts, pts[1:])):
-                raise ConfigError("--checkpoints must be strictly ascending")
-            if pts[0] < 2:
-                raise ConfigError("table checkpoints must be >= 2 (ln ln x must exist)")
-            if pts[-1] > cfg.n_max:
-                raise ConfigError(
-                    f"last checkpoint {pts[-1]} exceeds --n-max {cfg.n_max}"
-                )
-            cfg.checkpoints = pts
+    if args.command == "table" and args.checkpoints is not None:
+        pts = [_parse_count(tok, "checkpoints") for tok in args.checkpoints.split(",") if tok]
+        if pts and pts[0] < 2:
+            raise ConfigError("table checkpoints must be >= 2 (ln ln x must exist)")
+        cfg.checkpoints = pts
     return cfg
 
 
@@ -217,11 +198,13 @@ def _render_table(cells: list[dict], output_format: str, n_max: int) -> str:
 
 
 def _run_table(cfg: RunConfig) -> int:
-    pts = cfg.checkpoints or _decade_checkpoints(cfg.n_max)
-    if not pts:
-        raise ConfigError(
-            f"--n-max {cfg.n_max} leaves the decades preset empty; pass --checkpoints"
-        )
+    pts = cfg.checkpoints
+    if pts is None:
+        pts = _decade_checkpoints(cfg.n_max)
+        if not pts:
+            raise ConfigError(
+                f"--n-max {cfg.n_max} leaves the decades preset empty; pass --checkpoints"
+            )
     cols = accumulate_checkpoints(cfg.n_max, pts, cfg.segment_size, cfg.workers)
     _emit(cfg, _render_table(_table_cells(cols), cfg.output_format, cfg.n_max))
     return EXIT_OK

@@ -67,17 +67,10 @@ def _check_request(n: int, segment_size: int, workers: int) -> None:
 
 
 def base_odd_primes(limit: int) -> np.ndarray:
-    """Odd primes <= limit via a dense odd-only sieve (int64 array)."""
+    """Odd primes <= limit (int64 array), sieved by the odd primes <= sqrt(limit)."""
     if limit < 3:
         return np.empty(0, dtype=np.int64)
-    size = (limit - 1) // 2  # index i holds 3 + 2i
-    mask = np.ones(size, dtype=bool)
-    for i in range(size):
-        p = 3 + 2 * i
-        if p * p > limit:
-            break
-        if mask[i]:
-            mask[(p * p - 3) // 2 :: p] = False
+    mask = _odd_mask(3, limit + 1, base_odd_primes(math.isqrt(limit)))
     return 3 + 2 * np.flatnonzero(mask).astype(np.int64)
 
 

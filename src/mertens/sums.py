@@ -1,12 +1,12 @@
-"""Compensated accumulation of the four prime sums S, A, Q, L.
+"""Exact accumulation of the four prime sums S, A, Q, L.
 
 S(x) = sum 1/p, A(x) = sum ln(p)/p, Q(x) = sum 1/p^2 and
 L(x) = sum ln(p)/(p^2 - p), each over primes p <= x.
 
-Accumulation is Kahan-Neumaier, applied term by term in ascending prime
-order.  Because the running (sum, compensation) pair is carried across
-segment boundaries, the result depends only on the term sequence, never on
-how the sieve windows were sized or which worker produced them.
+Each sum is held exactly (see CompensatedAccumulator), so every checkpoint
+value is the correctly rounded sum of the binary64 terms up to it.  That
+depends only on which terms were added, never on how the sieve windows were
+sized or which worker produced them.
 
 Checkpoints come back as columns: one numpy array per quantity, indexed
 like the requested points.
@@ -14,7 +14,7 @@ like the requested points.
 
 from __future__ import annotations
 
-import sys
+import math
 from typing import Sequence
 
 import numpy as np
@@ -26,49 +26,43 @@ from .sieve import (
     _validate_points,
 )
 
-EPS = sys.float_info.epsilon
-
 # Numeric caps standing in for boundedness claims: Q is below sum 1/i^2
 # (pi^2/6 ~ 1.6449) and L is below the convergent sum ln(j)/(j^2 - j).
 Q_CAP = 1.645
 L_CAP = 2.0
 
 
-def _kahan_neumaier_py(s: float, c: float, terms) -> tuple[float, float]:
-    for x in terms:
-        t = s + x
-        if abs(s) >= abs(x):
-            c += (s - t) + x
-        else:
-            c += (x - t) + s
-        s = t
-    return s, c
-
-
 class CompensatedAccumulator:
-    """Kahan-Neumaier running sum: float result plus a compensation term.
+    """Exact running sum, kept as a canonical expansion of floats.
 
-    After k additions of magnitude <= 1 the accumulated error stays below
-    4*k*eps*max|partial|, far better than naive addition's k*eps growth.
+    parts[0] is the exact sum of every term added so far, correctly rounded;
+    parts[1] is the remainder, correctly rounded, and so on until the
+    remainder is zero (an empty list means zero).  The state depends only on
+    the exact sum, never on the order of the terms or how add_array calls
+    split them.
     """
 
-    __slots__ = ("sum", "compensation")
+    __slots__ = ("parts",)
 
-    def __init__(self, value: float = 0.0) -> None:
-        self.sum = float(value)
-        self.compensation = 0.0
+    def __init__(self) -> None:
+        self.parts: list[float] = []
 
     def add(self, x: float) -> None:
-        self.sum, self.compensation = _kahan_neumaier_py(self.sum, self.compensation, (x,))
+        self.add_array(np.array([x], dtype=np.float64))
 
     def add_array(self, arr: np.ndarray) -> None:
-        self.sum, self.compensation = _kahan_neumaier_py(
-            self.sum, self.compensation, arr.tolist()
-        )
+        work = arr.tolist() + self.parts
+        parts = []
+        while (r := math.fsum(work)) != 0.0:
+            if not math.isfinite(r):
+                raise ValueError(f"non-finite sum {r!r}: every term must be finite")
+            parts.append(r)
+            work.append(-r)
+        self.parts = parts
 
     @property
     def value(self) -> float:
-        return self.sum + self.compensation
+        return self.parts[0] if self.parts else 0.0
 
     def __repr__(self) -> str:
         return f"CompensatedAccumulator({self.value!r})"

@@ -112,7 +112,7 @@ def test_table_config_errors(capsys):
         ["table", "--n-max", "abc"],
         ["table", "--n-max", "100", "--checkpoints", "50,20"],
         ["table", "--n-max", "100", "--checkpoints", "50,200"],
-        ["table", "--n-max", "100", "--checkpoints", "10", "--preset", "decades"],
+        ["table", "--n-max", "100", "--checkpoints", "10", "--preset", "decades"],  # unknown flag
         ["table", "--n-max", "5"],  # decades preset empty
         ["table", "--n-max", "100", "--checkpoints", "1,10"],
         ["table", "--n-max", "100", "--workers", "0"],
