@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .bounds import (
     CONSTANTS,
-    MERTENS_B,
     BoundReport,
     MertensConstants,
     RosserSchoenfeldCheck,
@@ -44,7 +43,6 @@ from .sums import CompensatedAccumulator, accumulate_checkpoints
 __all__ = [
     "__version__",
     "CONSTANTS",
-    "MERTENS_B",
     "BoundReport",
     "CompensatedAccumulator",
     "DEFAULT_SEGMENT_SIZE",

@@ -30,7 +30,6 @@ class MertensConstants:
 
 
 CONSTANTS = MertensConstants()
-MERTENS_B = CONSTANTS.B
 RESIDUAL_CAP = 2.0  # |A(x) - ln x| stays below this on every scanned range
 
 LOG_POINTS_PER_DECADE = 256

@@ -1,5 +1,8 @@
 """Command-line front end: table, verify, estimate-b, extrapolate.
 
+argparse converts every flag value; one writer renders table, estimate-b and
+extrapolate as text, csv or json; verify prints one list of check results.
+
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 resource exhaustion (sieve cap exceeded, or out of memory).
 """
@@ -28,11 +31,7 @@ DEFAULT_VERIFY_N_MAX = 10**5
 ABEL_RANDOM_CASES = 1000
 
 
-class ConfigError(Exception):
-    """Invalid flag combination or value; maps to exit code 2."""
-
-
-def _parse_count(text: str, name: str) -> int:
+def _count(text: str) -> int:
     """Integer flag value; scientific notation like 1e9 is accepted."""
     try:
         return int(text, 10)
@@ -41,22 +40,17 @@ def _parse_count(text: str, name: str) -> int:
     try:
         value = float(text)
     except ValueError:
-        raise ConfigError(f"--{name} expects an integer, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}") from None
     if not value.is_integer() or abs(value) > 2**53:
-        raise ConfigError(f"--{name} expects an exact integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expects an exact integer, got {text!r}")
     return int(value)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    n_max: int = DEFAULT_TABLE_N_MAX
-    checkpoints: list[int] | None = None  # None = decades preset
-    segment_size: int = DEFAULT_SEGMENT_SIZE
-    workers: int = 1
-    output_format: str = "text"
-    output_path: str | None = None
-    log10_x: float | None = None
+def _checkpoints(text: str) -> list[int]:
+    pts = [_count(tok) for tok in text.split(",") if tok]
+    if pts and pts[0] < 2:
+        raise argparse.ArgumentTypeError("table checkpoints must be >= 2 (ln ln x must exist)")
+    return pts
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,9 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_sieve(sp: argparse.ArgumentParser, n_default: int) -> None:
-        sp.add_argument("--n-max", default=str(n_default), metavar="N")
-        sp.add_argument("--segment-size", default=str(DEFAULT_SEGMENT_SIZE), metavar="K")
-        sp.add_argument("--workers", default="1", metavar="W")
+        sp.add_argument("--n-max", type=_count, default=n_default, metavar="N")
+        sp.add_argument(
+            "--segment-size", type=_count, default=DEFAULT_SEGMENT_SIZE, metavar="K"
+        )
+        sp.add_argument("--workers", type=_count, default=1, metavar="W")
 
     def add_output(sp: argparse.ArgumentParser) -> None:
         sp.add_argument(
@@ -84,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser("table", help="sums and prime counts at checkpoints")
     add_sieve(table, DEFAULT_TABLE_N_MAX)
     add_output(table)
-    table.add_argument("--checkpoints", default=None, metavar="a,b,c")
+    table.add_argument("--checkpoints", type=_checkpoints, default=None, metavar="a,b,c")
 
     # verify writes only its text report to stdout, so it takes no output flags.
     verify = sub.add_parser("verify", help="run every identity and bound check")
@@ -95,155 +91,79 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(est)
 
     extra = sub.add_parser("extrapolate", help="ln ln x + B from log10(x) alone")
-    extra.add_argument("--log10-x", required=True, metavar="V")
+    extra.add_argument("--log10-x", type=float, required=True, metavar="V")
     add_output(extra)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    if "output_format" in args:
-        cfg.output_format = args.output_format
-        cfg.output_path = args.output_path
-    if args.command == "extrapolate":
-        try:
-            cfg.log10_x = float(args.log10_x)
-        except ValueError:
-            raise ConfigError(f"--log10-x expects a number, got {args.log10_x!r}") from None
-        return cfg
-    cfg.n_max = _parse_count(args.n_max, "n-max")
-    cfg.segment_size = _parse_count(args.segment_size, "segment-size")
-    cfg.workers = _parse_count(args.workers, "workers")
-    if args.command == "table" and args.checkpoints is not None:
-        pts = [_parse_count(tok, "checkpoints") for tok in args.checkpoints.split(",") if tok]
-        if pts and pts[0] < 2:
-            raise ConfigError("table checkpoints must be >= 2 (ln ln x must exist)")
-        cfg.checkpoints = pts
-    return cfg
-
-
 def _decade_checkpoints(n_max: int) -> list[int]:
-    pts = []
-    x = 10
-    while x <= n_max:
-        pts.append(x)
-        x *= 10
-    return pts
+    # 10**k <= n_max exactly when n_max has more than k digits.
+    return [10**k for k in range(1, len(str(max(n_max, 0))))]
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
+def _write(
+    args: argparse.Namespace, text: str, fields: tuple, rows: list[tuple], payload: dict
+) -> None:
+    """Write the --format form of one result to --out, or else to stdout."""
+    if args.output_format == "json":
+        text = json.dumps(payload, separators=(",", ":")) + "\n"
+    elif args.output_format == "csv":
+        lines = [",".join(fields), *(",".join(map(repr, row)) for row in rows)]
+        text = "\n".join(lines) + "\n"
+    if args.output_path:
+        with open(args.output_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _table_cells(cols) -> list[dict]:
-    cells = []
-    for x, pi, s, a in zip(*(cols[k].tolist() for k in ("x", "pi", "s", "a"))):
-        lnln = math.log(math.log(float(x)))
-        cells.append(
-            {
-                "x": x,
-                "pi": pi,
-                "s": s,
-                "a": a,
-                "s_minus_lnln": s - lnln,
-                "extrapolated": lnln + CONSTANTS.B,
-            }
-        )
-    return cells
-
-
 _TABLE_FIELDS = ("x", "pi", "s", "a", "s_minus_lnln", "extrapolated")
 
 
-def _render_table(cells: list[dict], output_format: str, n_max: int) -> str:
-    if output_format == "json":
-        payload = {
-            "meta": {"n_max": n_max, "version": __version__},
-            "rows": cells,
-        }
-        return json.dumps(payload, separators=(",", ":")) + "\n"
-    if output_format == "csv":
-        lines = [",".join(_TABLE_FIELDS)]
-        for c in cells:
-            lines.append(
-                ",".join(
-                    str(c[k]) if k in ("x", "pi") else repr(c[k]) for k in _TABLE_FIELDS
-                )
-            )
-        return "\n".join(lines) + "\n"
-    body = [
-        [
-            str(c["x"]),
-            str(c["pi"]),
-            f"{c['s']:.3f}",
-            f"{c['a']:.3f}",
-            f"{c['s_minus_lnln']:.3f}",
-            f"{c['extrapolated']:.3f}",
-        ]
-        for c in cells
-    ]
-    widths = [
-        max(len(_TABLE_FIELDS[i]), *(len(row[i]) for row in body))
-        for i in range(len(_TABLE_FIELDS))
-    ]
-    header = "  ".join(name.rjust(widths[i]) for i, name in enumerate(_TABLE_FIELDS))
-    lines = [header]
-    for row in body:
-        lines.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines) + "\n"
-
-
-def _run_table(cfg: RunConfig) -> int:
-    pts = cfg.checkpoints
+def _run_table(args: argparse.Namespace) -> int:
+    pts = args.checkpoints
     if pts is None:
-        pts = _decade_checkpoints(cfg.n_max)
+        pts = _decade_checkpoints(args.n_max)
         if not pts:
-            raise ConfigError(
-                f"--n-max {cfg.n_max} leaves the decades preset empty; pass --checkpoints"
+            raise ValueError(
+                f"--n-max {args.n_max} leaves the decades preset empty; pass --checkpoints"
             )
-    cols = accumulate_checkpoints(cfg.n_max, pts, cfg.segment_size, cfg.workers)
-    _emit(cfg, _render_table(_table_cells(cols), cfg.output_format, cfg.n_max))
+    cols = accumulate_checkpoints(args.n_max, pts, args.segment_size, args.workers)
+    rows = []
+    for x, pi, s, a in zip(*(cols[k].tolist() for k in ("x", "pi", "s", "a"))):
+        lnln = math.log(math.log(float(x)))
+        rows.append((x, pi, s, a, s - lnln, lnln + CONSTANTS.B))
+    cells = [[str(x), str(pi), *(f"{v:.3f}" for v in rest)] for x, pi, *rest in rows]
+    widths = [max(map(len, col)) for col in zip(_TABLE_FIELDS, *cells)]
+    text = "".join(
+        "  ".join(cell.rjust(w) for cell, w in zip(line, widths)) + "\n"
+        for line in [_TABLE_FIELDS, *cells]
+    )
+    payload = {
+        "meta": {"n_max": args.n_max, "version": __version__},
+        "rows": [dict(zip(_TABLE_FIELDS, row)) for row in rows],
+    }
+    _write(args, text, _TABLE_FIELDS, rows, payload)
     return EXIT_OK
 
 
-def _run_estimate_b(cfg: RunConfig) -> int:
-    cols = accumulate_checkpoints(cfg.n_max, [cfg.n_max], cfg.segment_size, cfg.workers)
-    b_hat = bounds.estimate_mertens_B(cfg.n_max, cols["s"].item())
-    width = bounds.envelope_halfwidth(cfg.n_max)
-    if cfg.output_format == "json":
-        text = (
-            json.dumps(
-                {"x": cfg.n_max, "b_estimate": b_hat, "halfwidth": width},
-                separators=(",", ":"),
-            )
-            + "\n"
-        )
-    elif cfg.output_format == "csv":
-        text = f"x,b_estimate,halfwidth\n{cfg.n_max},{b_hat!r},{width!r}\n"
-    else:
-        text = f"b_estimate({cfg.n_max}) = {b_hat:.15f} (within {width:.3e} of B)\n"
-    _emit(cfg, text)
+def _run_estimate_b(args: argparse.Namespace) -> int:
+    n_max = args.n_max
+    cols = accumulate_checkpoints(n_max, [n_max], args.segment_size, args.workers)
+    b_hat = bounds.estimate_mertens_B(n_max, cols["s"].item())
+    width = bounds.envelope_halfwidth(n_max)
+    text = f"b_estimate({n_max}) = {b_hat:.15f} (within {width:.3e} of B)\n"
+    fields = ("x", "b_estimate", "halfwidth")
+    row = (n_max, b_hat, width)
+    _write(args, text, fields, [row], dict(zip(fields, row)))
     return EXIT_OK
 
 
-def _run_extrapolate(cfg: RunConfig) -> int:
-    value = bounds.extrapolate_sum(cfg.log10_x)
-    if cfg.output_format == "json":
-        text = (
-            json.dumps(
-                {"log10_x": cfg.log10_x, "extrapolated": value}, separators=(",", ":")
-            )
-            + "\n"
-        )
-    elif cfg.output_format == "csv":
-        text = f"log10_x,extrapolated\n{cfg.log10_x!r},{value!r}\n"
-    else:
-        text = f"{value:.2f}\n"
-    _emit(cfg, text)
+def _run_extrapolate(args: argparse.Namespace) -> int:
+    value = bounds.extrapolate_sum(args.log10_x)
+    fields = ("log10_x", "extrapolated")
+    row = (args.log10_x, value)
+    _write(args, f"{value:.2f}\n", fields, [row], dict(zip(fields, row)))
     return EXIT_OK
 
 
@@ -256,13 +176,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-    gating: bool = True
-
-    @property
-    def status(self) -> str:
-        if not self.gating:
-            return "NOTE"
-        return "PASS" if self.passed else "FAIL"
+    gating: bool = True  # a non-gating check prints NOTE and never fails the run
 
 
 def _from_report(report: bounds.BoundReport, gating: bool = True) -> CheckResult:
@@ -275,12 +189,9 @@ def _from_report(report: bounds.BoundReport, gating: bool = True) -> CheckResult
 
 
 def _check_log_bound_grid() -> CheckResult:
-    worst = math.inf
-    ok = True
-    for k in range(0, 1025):
-        v = identities.log_one_minus_bound(k / 2048.0)
-        worst = min(worst, v.rhs - v.lhs)
-        ok = ok and v.passed
+    verdicts = [identities.log_one_minus_bound(k / 2048.0) for k in range(1025)]
+    worst = min(v.rhs - v.lhs for v in verdicts)
+    ok = all(v.passed for v in verdicts)
     return CheckResult("log_one_minus_bound", ok, f"points=1025 worst_margin={worst:.3e}")
 
 
@@ -340,100 +251,66 @@ def _check_legendre_reconstruction(limit: int, primes) -> CheckResult:
 
 
 def _check_euler_products() -> CheckResult:
-    ok = True
-    worst_gap = 0.0
     ns = (2, 3, 5, 7, 13, 31, 47)
-    for n in ns:
-        chk = identities.euler_product_check(n, 1 << 20)
-        gap = float(chk.product) - chk.partial_smooth_sum
-        worst_gap = max(worst_gap, gap)
-        ok = ok and chk.bracket_ok and gap > 0.0
+    checks = [identities.euler_product_check(n, 1 << 20) for n in ns]
+    gaps = [float(c.product) - c.partial_smooth_sum for c in checks]
+    ok = all(c.bracket_ok and gap > 0.0 for c, gap in zip(checks, gaps))
     return CheckResult(
-        "euler_product_bracketing",
-        ok,
-        f"n in {ns} cutoff=2^20 worst_gap={worst_gap:.3e}",
+        "euler_product_bracketing", ok, f"n in {ns} cutoff=2^20 worst_gap={max(0.0, *gaps):.3e}"
     )
 
 
-def _check_checkpoint_bounds(
-    n_max: int, cols: dict, rs_pts: list[int], euler_pts: list[int], cap_pts: list[int]
-) -> list[CheckResult]:
-    out = [_from_report(bounds.euler_lower_bound_check(columns_at(cols, euler_pts)))]
-
-    rs = bounds.rosser_schoenfeld_check(columns_at(cols, rs_pts))
-    out.append(_from_report(rs.symmetric))
-    asym = _from_report(rs.asymmetric, gating=False)
-    asym.detail += " (tightened upper variant is false near n=286; informational)"
-    out.append(asym)
-
-    out.extend(
-        _from_report(rep) for rep in bounds.residual_caps_check(columns_at(cols, cap_pts))
+def _check_envelope(cols, env_pts: list[int]) -> CheckResult:
+    s_at = columns_at(cols, env_pts)["s"].tolist()
+    errs = [abs(s - bounds.extrapolate_sum(math.log10(x))) for x, s in zip(env_pts, s_at)]
+    worst, worst_x = min(
+        (bounds.envelope_halfwidth(x) + 1e-9 - err, x) for x, err in zip(env_pts, errs)
+    )
+    return CheckResult(
+        "envelope_extrapolation_consistency",
+        worst >= 0.0,
+        f"points={len(env_pts)} worst_margin={worst:.3e} @ x={worst_x}",
     )
 
-    env_pts = [x for x in cap_pts if x >= CONSTANTS.rs_min_n]
-    worst = math.inf
-    worst_x = env_pts[0]
-    for x, s in zip(env_pts, columns_at(cols, env_pts)["s"].tolist()):
-        err = abs(s - bounds.extrapolate_sum(math.log10(x)))
-        margin = bounds.envelope_halfwidth(x) + 1e-9 - err
-        if margin < worst:
-            worst, worst_x = margin, x
-    out.append(
-        CheckResult(
-            "envelope_extrapolation_consistency",
-            worst >= 0.0,
-            f"points={len(env_pts)} worst_margin={worst:.3e} @ x={worst_x}",
-        )
-    )
 
+def _check_b_cauchy(n_max: int, cols) -> list[CheckResult]:
+    """B estimates at consecutive decades agree within the envelope; [] below 1e4."""
     ks = [k for k in range(3, 8) if 10 ** (k + 1) <= n_max]
-    if ks:
-        worst = math.inf
-        worst_k = ks[0]
-        decade_s = columns_at(cols, [10**k for k in ks + [ks[-1] + 1]])["s"].tolist()
-        for k, s_lo, s_hi in zip(ks, decade_s, decade_s[1:]):
-            b_lo = bounds.estimate_mertens_B(10**k, s_lo)
-            b_hi = bounds.estimate_mertens_B(10 ** (k + 1), s_hi)
-            allowance = 1.0 / (2.0 * (k * math.log(10.0)) ** 2)
-            margin = allowance - abs(b_lo - b_hi)
-            if margin < worst:
-                worst, worst_k = margin, k
-        out.append(
-            CheckResult(
-                "mertens_b_cauchy",
-                worst >= 0.0,
-                f"k={ks[0]}..{ks[-1]} worst_margin={worst:.3e} @ k={worst_k}",
-            )
-        )
-
-    b_hat = bounds.estimate_mertens_B(n_max, columns_at(cols, [n_max])["s"].item())
-    out.append(
-        CheckResult(
-            "mertens_b_estimate",
-            True,
-            f"b_estimate({n_max})={b_hat:.12f} halfwidth={bounds.envelope_halfwidth(n_max):.3e}",
-            gating=False,
-        )
+    if not ks:
+        return []
+    xs = [10**k for k in ks + [ks[-1] + 1]]
+    s_at = columns_at(cols, xs)["s"].tolist()
+    b_at = [bounds.estimate_mertens_B(x, s) for x, s in zip(xs, s_at)]
+    worst, worst_k = min(
+        (1.0 / (2.0 * (k * math.log(10.0)) ** 2) - abs(b_lo - b_hi), k)
+        for k, b_lo, b_hi in zip(ks, b_at, b_at[1:])
     )
-    return out
+    return [
+        CheckResult(
+            "mertens_b_cauchy",
+            worst >= 0.0,
+            f"k={ks[0]}..{ks[-1]} worst_margin={worst:.3e} @ k={worst_k}",
+        )
+    ]
 
 
-def _run_verify(cfg: RunConfig) -> int:
-    n_max = cfg.n_max
+def _run_verify(args: argparse.Namespace) -> int:
+    n_max = args.n_max
     if n_max < CONSTANTS.rs_min_n:
-        raise ConfigError(
+        raise ValueError(
             f"verify needs --n-max >= {CONSTANTS.rs_min_n} "
             f"(Rosser-Schoenfeld scan), got {n_max}"
         )
     # Some checks run before the accumulate pass, so refuse what the pass
     # would refuse (sieve cap, worker and segment ceilings) before any runs.
-    _check_request(n_max, cfg.segment_size, cfg.workers)
+    _check_request(n_max, args.segment_size, args.workers)
     # One prime array and one accumulate pass serve every check; the checks
-    # only read them.
+    # only read them. The checks that read no columns run before the pass,
+    # so their temporaries are freed before its columns are allocated.
     primes = primes_array(min(10**6, n_max))
-    results = [
-        _check_log_bound_grid(),
-        _check_abel_random(ABEL_RANDOM_CASES),
+    log_grid = _check_log_bound_grid()
+    abel = _check_abel_random(ABEL_RANDOM_CASES)
+    column_free = [
         _check_factorial(n_max, primes),
         _check_legendre_reconstruction(200, primes),
         _check_euler_products(),
@@ -450,41 +327,54 @@ def _run_verify(cfg: RunConfig) -> int:
     euler_pts = primes.tolist()
     cap_pts = bounds.log_spaced_integers(2, min(10**7, n_max))
     union = sorted(
-        set(rs_pts)
-        | set(euler_pts)
-        | set(cap_pts)
-        | set(stieltjes_pts)
-        | set(_decade_checkpoints(n_max))
-        | {n_max}
+        {n_max, *rs_pts, *euler_pts, *cap_pts, *stieltjes_pts, *_decade_checkpoints(n_max)}
     )
-    cols = accumulate_checkpoints(n_max, union, cfg.segment_size, cfg.workers)
-    # Reported third, after the abel check.
-    results.insert(2, _check_stieltjes(columns_at(cols, stieltjes_pts), primes))
-    results.extend(_check_checkpoint_bounds(n_max, cols, rs_pts, euler_pts, cap_pts))
+    cols = accumulate_checkpoints(n_max, union, args.segment_size, args.workers)
+    rs = bounds.rosser_schoenfeld_check(columns_at(cols, rs_pts))
+    asym = _from_report(rs.asymmetric, gating=False)
+    asym.detail += " (tightened upper variant is false near n=286; informational)"
+    b_hat = bounds.estimate_mertens_B(n_max, columns_at(cols, [n_max])["s"].item())
+    results = [
+        log_grid,
+        abel,
+        _check_stieltjes(columns_at(cols, stieltjes_pts), primes),
+        *column_free,
+        _from_report(bounds.euler_lower_bound_check(columns_at(cols, euler_pts))),
+        _from_report(rs.symmetric),
+        asym,
+        *map(_from_report, bounds.residual_caps_check(columns_at(cols, cap_pts))),
+        _check_envelope(cols, [x for x in cap_pts if x >= CONSTANTS.rs_min_n]),
+        *_check_b_cauchy(n_max, cols),
+        CheckResult(
+            "mertens_b_estimate",
+            True,
+            f"b_estimate({n_max})={b_hat:.12f} halfwidth={bounds.envelope_halfwidth(n_max):.3e}",
+            gating=False,
+        ),
+    ]
     failures = sum(1 for c in results if c.gating and not c.passed)
     for c in results:
-        print(f"{c.status:<4} {c.name:<38} {c.detail}")
+        status = ("PASS" if c.passed else "FAIL") if c.gating else "NOTE"
+        print(f"{status:<4} {c.name:<38} {c.detail}")
     print(
-        f"verify: n_max={cfg.n_max} checks={len(results)} "
+        f"verify: n_max={n_max} checks={len(results)} "
         f"failures={failures} -> exit {EXIT_VERIFY_FAILED if failures else EXIT_OK}"
     )
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 
+COMMANDS = {
+    "table": _run_table,
+    "verify": _run_verify,
+    "estimate-b": _run_estimate_b,
+    "extrapolate": _run_extrapolate,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        cfg = _config_from_args(args)
-        if cfg.command == "table":
-            return _run_table(cfg)
-        if cfg.command == "verify":
-            return _run_verify(cfg)
-        if cfg.command == "estimate-b":
-            return _run_estimate_b(cfg)
-        return _run_extrapolate(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return COMMANDS[args.command](args)
     except SieveLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

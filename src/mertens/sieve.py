@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import os
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 DEFAULT_SEGMENT_SIZE = 1 << 18  # integers per window; ~128 KiB of odd flags
-DEFAULT_MAX_SIEVE_BOUND = 1 << 40
-MAX_BOUND_ENV = "MERTENS_MAX_SIEVE"
-# Resource ceilings: each worker is one process, and a segment holds
-# segment_size / 2 flags per worker plus its prime array.
+# Resource ceilings: the largest sieve bound; each worker is one process, and
+# a segment holds segment_size / 2 flags per worker plus its prime array.
+MAX_SIEVE_BOUND = 1 << 40
 MAX_WORKERS = 64
 MAX_SEGMENT_SIZE = 1 << 24
 
@@ -29,20 +27,6 @@ _TWO = np.array([2], dtype=np.int64)
 
 class SieveLimitError(RuntimeError):
     """Raised when a request exceeds the sieve maximum or a resource ceiling."""
-
-
-def max_sieve_bound() -> int:
-    """Current sieve cap: MERTENS_MAX_SIEVE if set, else 2^40."""
-    raw = os.environ.get(MAX_BOUND_ENV)
-    if raw is None:
-        return DEFAULT_MAX_SIEVE_BOUND
-    try:
-        cap = int(float(raw))
-    except ValueError:
-        raise ValueError(f"{MAX_BOUND_ENV} must be numeric, got {raw!r}") from None
-    if cap < 2:
-        raise ValueError(f"{MAX_BOUND_ENV} must be at least 2, got {raw!r}")
-    return cap
 
 
 def _check_request(n: int, segment_size: int, workers: int) -> None:
@@ -58,11 +42,10 @@ def _check_request(n: int, segment_size: int, workers: int) -> None:
         )
     if workers > MAX_WORKERS:
         raise SieveLimitError(f"worker count {workers} exceeds the maximum {MAX_WORKERS}")
-    cap = max_sieve_bound()
-    if n > cap:
+    if n > MAX_SIEVE_BOUND:
         raise SieveLimitError(
-            f"bound {n} exceeds the configured sieve maximum {cap}; "
-            f"raise {MAX_BOUND_ENV} or use the extrapolation path"
+            f"bound {n} exceeds the sieve maximum {MAX_SIEVE_BOUND}; "
+            "use the extrapolation path"
         )
 
 

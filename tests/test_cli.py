@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mertens.cli
 from mertens import __version__
+from mertens.bounds import envelope_halfwidth, estimate_mertens_B, extrapolate_sum
 from mertens.cli import main
 from mertens.sieve import MAX_SEGMENT_SIZE, MAX_WORKERS
 from mertens.sums import accumulate_checkpoints
@@ -116,6 +121,11 @@ def test_table_config_errors(capsys):
         ["table", "--n-max", "5"],  # decades preset empty
         ["table", "--n-max", "100", "--checkpoints", "1,10"],
         ["table", "--n-max", "100", "--workers", "0"],
+        # malformed values are refused by argparse on every subcommand
+        ["estimate-b", "--n-max", "abc"],
+        ["verify", "--workers", "x"],
+        ["extrapolate", "--log10-x", "zz"],
+        ["table", "--checkpoints", "10,1e3.5"],
     ]
     for argv in cases:
         code, _, err = run_cli(argv, capsys)
@@ -128,9 +138,9 @@ def test_unknown_flag_exits_2(capsys):
     assert code == 2
 
 
-def test_resource_exhaustion_exit_3(monkeypatch, capsys):
-    monkeypatch.setenv("MERTENS_MAX_SIEVE", "10000")
-    code, _, err = run_cli(["table", "--n-max", "1e6"], capsys)
+def test_resource_exhaustion_exit_3(capsys):
+    # The last decade, 1e13, is above the 2^40 sieve cap.
+    code, _, err = run_cli(["table", "--n-max", "1e13"], capsys)
     assert code == 3
     assert "exceeds" in err
 
@@ -197,6 +207,34 @@ def test_estimate_b(capsys):
     assert abs(value - 0.2614972) < 0.006
 
 
+def test_estimate_b_and_extrapolate_csv_json_out(tmp_path, capsys):
+    s = accumulate_checkpoints(10**4, [10**4])["s"].item()
+    b_hat, width = estimate_mertens_B(10**4, s), envelope_halfwidth(10**4)
+    value = extrapolate_sum(100.0)
+    cases = [
+        (
+            ["estimate-b", "--n-max", "1e4"],
+            f"x,b_estimate,halfwidth\n10000,{b_hat!r},{width!r}\n",
+            {"x": 10000, "b_estimate": b_hat, "halfwidth": width},
+        ),
+        (
+            ["extrapolate", "--log10-x", "100"],
+            f"log10_x,extrapolated\n100.0,{value!r}\n",
+            {"log10_x": 100.0, "extrapolated": value},
+        ),
+    ]
+    for argv, csv_text, payload in cases:
+        code, out, _ = run_cli([*argv, "--format", "csv"], capsys)
+        assert (code, out) == (0, csv_text)
+        code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out) == payload
+        path = tmp_path / "out.json"
+        code, to_stdout, _ = run_cli([*argv, "--format", "json", "--out", str(path)], capsys)
+        assert (code, to_stdout) == (0, "")
+        assert path.read_text(encoding="utf-8") == out
+
+
 def test_estimate_b_below_threshold_exit_2(capsys):
     code, _, _ = run_cli(["estimate-b", "--n-max", "100"], capsys)
     assert code == 2
@@ -235,12 +273,50 @@ def test_verify_rejects_small_n_max(capsys):
 def test_verify_at_1e5_passes(capsys):
     code, out, _ = run_cli(["verify", "--n-max", "100000"], capsys)
     assert code == 0
-    statuses = {
-        line.split()[0] for line in out.splitlines() if line and line[0].isupper()
-    }
-    assert "FAIL" not in statuses
+    lines = out.splitlines()
+    assert [line.split()[1] for line in lines[:-1]] == [
+        "log_one_minus_bound",
+        "abel_summation_by_parts",
+        "stieltjes_partial_integration",
+        "factorial_log_identity",
+        "legendre_factorial_reconstruction",
+        "euler_product_bracketing",
+        "binomial_prime_product",
+        "chebyshev_dyadic",
+        "euler_lower_bound",
+        "rs_envelope_symmetric",
+        "rs_envelope_asymmetric_upper",
+        "mertens_residual_cap",
+        "q_cap",
+        "l_cap",
+        "envelope_extrapolation_consistency",
+        "mertens_b_cauchy",
+        "mertens_b_estimate",
+    ]
+    assert "FAIL" not in {line.split()[0] for line in lines[:-1]}
+    assert lines[-1] == "verify: n_max=100000 checks=17 failures=0 -> exit 0"
 
 
 def test_help_exits_zero(capsys):
     code, _, _ = run_cli(["--help"], capsys)
     assert code == 0
+
+
+def test_cli_as_a_process():
+    src = str(Path(mertens.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "mertens.cli", *argv], capture_output=True, env=env
+        )
+
+    # Seven segments, so --workers 2 runs the sieve pool.
+    table = ["table", "--n-max", "1e5", "--format", "csv", "--segment-size", "16384"]
+    csv = [run(*table, "--workers", w) for w in ("1", "2")]
+    assert [r.returncode for r in csv] == [0, 0]
+    assert csv[0].stdout == csv[1].stdout
+    assert csv[0].stdout.startswith(b"x,pi,s,a,s_minus_lnln,extrapolated\n")
+    assert run("table", "--n-max", "abc").returncode == 2
+    capped = run("table", "--n-max", "1e13")
+    assert (capped.returncode, capped.stdout) == (3, b"")

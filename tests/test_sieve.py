@@ -5,7 +5,9 @@ import pytest
 
 from mertens.sieve import (
     DEFAULT_SEGMENT_SIZE,
+    MAX_SIEVE_BOUND,
     SieveLimitError,
+    _check_request,
     iter_prime_arrays,
     primes_array,
 )
@@ -124,19 +126,13 @@ def test_stream_parameter_validation():
         next(iter_prime_arrays(100, workers=0))
 
 
-def test_sieve_cap_is_enforced(monkeypatch):
-    monkeypatch.setenv("MERTENS_MAX_SIEVE", "1000")
+def test_sieve_cap_is_enforced():
+    # Both are refused before anything is allocated.
     with pytest.raises(SieveLimitError):
-        primes_array(2000)
+        primes_array(MAX_SIEVE_BOUND + 1)
     with pytest.raises(SieveLimitError):
-        accumulate_checkpoints(2000, [2000])
-    assert primes_array(1000)[-1] == 997  # cap itself still allowed
-
-
-def test_sieve_cap_env_validation(monkeypatch):
-    monkeypatch.setenv("MERTENS_MAX_SIEVE", "not-a-number")
-    with pytest.raises(ValueError):
-        primes_array(10)
+        accumulate_checkpoints(MAX_SIEVE_BOUND + 1, [MAX_SIEVE_BOUND + 1])
+    assert _check_request(MAX_SIEVE_BOUND, 1, 1) is None  # cap itself allowed
 
 
 def test_prime_stream_carries_configuration():
