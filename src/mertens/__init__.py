@@ -4,68 +4,23 @@ Streams primes through a segmented sieve, accumulates the prime harmonic
 sums exactly (each checkpoint value correctly rounded), and verifies the
 identities, inequality envelopes and constants that govern
 S(x) = ln ln x + O(1).
+
+The top level holds the pipeline: primes_array, accumulate_checkpoints,
+estimate_mertens_B and extrapolate_sum.  The checks, their report types and
+the constants B and RS_MIN_N live in mertens.bounds and mertens.identities.
 """
 
 __version__ = "0.1.0"
 
-from .bounds import (
-    CONSTANTS,
-    BoundReport,
-    MertensConstants,
-    RosserSchoenfeldCheck,
-    binomial_prime_product_check,
-    chebyshev_dyadic_check,
-    estimate_mertens_B,
-    euler_lower_bound_check,
-    extrapolate_sum,
-    mertens_residual_scan,
-    rosser_schoenfeld_check,
-)
-from .identities import (
-    EulerProductCheck,
-    FactorialLogCheck,
-    IdentityVerdict,
-    SequencePair,
-    abel_identity_eval,
-    euler_product_check,
-    factorial_log_identity,
-    legendre_vp,
-    log_one_minus_bound,
-    stieltjes_identity_check,
-)
-from .sieve import (
-    DEFAULT_SEGMENT_SIZE,
-    SieveLimitError,
-    primes_array,
-)
-from .sums import CompensatedAccumulator, accumulate_checkpoints
+from .bounds import estimate_mertens_B, extrapolate_sum
+from .sieve import SieveLimitError, primes_array
+from .sums import accumulate_checkpoints
 
 __all__ = [
     "__version__",
-    "CONSTANTS",
-    "BoundReport",
-    "CompensatedAccumulator",
-    "DEFAULT_SEGMENT_SIZE",
-    "EulerProductCheck",
-    "FactorialLogCheck",
-    "IdentityVerdict",
-    "MertensConstants",
-    "RosserSchoenfeldCheck",
-    "SequencePair",
     "SieveLimitError",
-    "abel_identity_eval",
     "accumulate_checkpoints",
-    "binomial_prime_product_check",
-    "chebyshev_dyadic_check",
     "estimate_mertens_B",
-    "euler_lower_bound_check",
-    "euler_product_check",
     "extrapolate_sum",
-    "factorial_log_identity",
-    "legendre_vp",
-    "log_one_minus_bound",
-    "mertens_residual_scan",
     "primes_array",
-    "rosser_schoenfeld_check",
-    "stieltjes_identity_check",
 ]

@@ -1,11 +1,11 @@
 """Inequality scans, the Mertens constant, and beyond-sieve extrapolation.
 
-Every check reports a BoundReport with the worst signed margin (rhs - lhs)
-over the scanned range; a violation is a strictly negative margin.  Scans
-are exhaustive where cheap and log-spaced (256 points per decade) beyond,
-since the scanned quantities only change at primes.  Checks of S, A, Q and
-L take the checkpoint columns they scan (see accumulate_checkpoints) and
-never start a pass of their own.
+Every check reports a BoundReport, or a list of them, with the worst signed
+margin (rhs - lhs) over the scanned range; a violation is a strictly
+negative margin.  Scans are exhaustive where cheap and log-spaced (256
+points per decade) beyond, since the scanned quantities only change at
+primes.  Checks of S, A, Q and L take the checkpoint columns they scan (see
+accumulate_checkpoints) and never start a pass of their own.
 """
 
 from __future__ import annotations
@@ -17,20 +17,16 @@ from typing import Iterable
 import numpy as np
 
 from .sieve import primes_array
-from .sums import L_CAP, Q_CAP
 
-
-@dataclass(frozen=True)
-class MertensConstants:
-    """Reference constants for the prime harmonic sum S(x) ~ ln ln x + B."""
-
-    B: float = 0.261497212847643
-    euler_slack: float = 0.48  # S(n) >= ln ln n - euler_slack
-    rs_min_n: int = 286  # threshold for the Rosser-Schoenfeld envelope
-
-
-CONSTANTS = MertensConstants()
-RESIDUAL_CAP = 2.0  # |A(x) - ln x| stays below this on every scanned range
+B = 0.261497212847643  # Mertens' constant: S(x) ~ ln ln x + B
+EULER_SLACK = 0.48  # S(n) >= ln ln n - EULER_SLACK
+RS_MIN_N = 286  # threshold for the Rosser-Schoenfeld envelope
+# Numeric caps standing in for boundedness claims: |A(x) - ln x| stays below
+# RESIDUAL_CAP, Q is below sum 1/i^2 (pi^2/6 ~ 1.6449) and L is below the
+# convergent sum ln(j)/(j^2 - j).
+RESIDUAL_CAP = 2.0
+Q_CAP = 1.645
+L_CAP = 2.0
 
 LOG_POINTS_PER_DECADE = 256
 CHEBYSHEV_BLOCK = 1 << 16  # integers per block, so peak memory is flat in hi
@@ -45,20 +41,6 @@ class BoundReport:
     violations: int
     worst_margin: float
     worst_arg: int
-
-
-@dataclass
-class RosserSchoenfeldCheck:
-    """Both variants of the envelope's upper correction, reported separately.
-
-    symmetric uses 1/(2 (ln n)^2) on both sides (the standard form);
-    asymmetric keeps the lower correction but tightens the upper one to
-    1/((2 ln n)^2) = 1/(4 (ln n)^2).  The asymmetric form is numerically
-    false near n = 286, so callers normally gate on `symmetric`.
-    """
-
-    symmetric: BoundReport
-    asymmetric: BoundReport
 
 
 def _combined_report(
@@ -208,40 +190,43 @@ def residual_caps_check(cols: dict[str, np.ndarray]) -> list[BoundReport]:
 
 
 def euler_lower_bound_check(cols: dict[str, np.ndarray]) -> BoundReport:
-    """Scan ln ln n <= S(n) + Q(n) and S(n) >= ln ln n - euler_slack."""
+    """Scan ln ln n <= S(n) + Q(n) and S(n) >= ln ln n - EULER_SLACK."""
     xs = cols["x"]
     if xs[0] < 2:
         raise ValueError(f"euler lower bound needs points >= 2, got {xs[0]}")
     lnln = np.log(np.log(xs.astype(np.float64)))
     with_q = (cols["s"] + cols["q"]) - lnln
-    with_slack = cols["s"] - (lnln - CONSTANTS.euler_slack)
+    with_slack = cols["s"] - (lnln - EULER_SLACK)
     return _combined_report(
         "euler_lower_bound", int(xs[0]), int(xs[-1]), [(xs, with_q), (xs, with_slack)]
     )
 
 
-def rosser_schoenfeld_check(cols: dict[str, np.ndarray]) -> RosserSchoenfeldCheck:
-    """Two-sided envelope ln ln n + B +/- corrections, for n >= 286."""
+def rosser_schoenfeld_check(cols: dict[str, np.ndarray]) -> list[BoundReport]:
+    """Two-sided envelope ln ln n + B +/- corrections, for n >= 286.
+
+    Returns [symmetric, asymmetric], both variants of the upper correction:
+    symmetric uses 1/(2 (ln n)^2) on both sides (the standard form);
+    asymmetric keeps the lower correction but tightens the upper one to
+    1/((2 ln n)^2) = 1/(4 (ln n)^2).  The asymmetric form is numerically
+    false near n = 286, so callers normally gate on the symmetric report.
+    """
     xs = cols["x"]
-    if xs[0] < CONSTANTS.rs_min_n:
-        raise ValueError(
-            f"envelope holds for n >= {CONSTANTS.rs_min_n}, got point {xs[0]}"
-        )
+    if xs[0] < RS_MIN_N:
+        raise ValueError(f"envelope holds for n >= {RS_MIN_N}, got point {xs[0]}")
     s = cols["s"]
     ln = np.log(xs.astype(np.float64))
     lnln = np.log(ln)
-    lower = s - (lnln - 1.0 / (2.0 * ln * ln) + CONSTANTS.B)
-    upper_sym = (lnln + 1.0 / (2.0 * ln * ln) + CONSTANTS.B) - s
-    upper_asym = (lnln + 1.0 / (2.0 * ln) ** 2 + CONSTANTS.B) - s
+    lower = s - (lnln - 1.0 / (2.0 * ln * ln) + B)
+    upper_sym = (lnln + 1.0 / (2.0 * ln * ln) + B) - s
+    upper_asym = (lnln + 1.0 / (2.0 * ln) ** 2 + B) - s
     lo, hi = int(xs[0]), int(xs[-1])
-    return RosserSchoenfeldCheck(
-        symmetric=_combined_report(
-            "rs_envelope_symmetric", lo, hi, [(xs, lower), (xs, upper_sym)]
-        ),
-        asymmetric=_combined_report(
+    return [
+        _combined_report("rs_envelope_symmetric", lo, hi, [(xs, lower), (xs, upper_sym)]),
+        _combined_report(
             "rs_envelope_asymmetric_upper", lo, hi, [(xs, lower), (xs, upper_asym)]
         ),
-    )
+    ]
 
 
 def envelope_halfwidth(x: float) -> float:
@@ -251,8 +236,8 @@ def envelope_halfwidth(x: float) -> float:
 
 def estimate_mertens_B(x: int, s: float) -> float:
     """S(x) - ln ln x, given s = S(x); within envelope_halfwidth(x) of B for x >= 286."""
-    if x < CONSTANTS.rs_min_n:
-        raise ValueError(f"estimate needs x >= {CONSTANTS.rs_min_n}, got {x}")
+    if x < RS_MIN_N:
+        raise ValueError(f"estimate needs x >= {RS_MIN_N}, got {x}")
     return s - math.log(math.log(x))
 
 
@@ -263,4 +248,4 @@ def extrapolate_sum(log10_x: float) -> float:
     """ln ln x + B without ever forming x, from log10(x) alone."""
     if not math.isfinite(log10_x) or log10_x <= _LOG10_FLOOR:
         raise ValueError(f"extrapolation needs log10_x > 1/ln(10), got {log10_x}")
-    return math.log(log10_x * math.log(10.0)) + CONSTANTS.B
+    return math.log(log10_x * math.log(10.0)) + B

@@ -17,7 +17,6 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__, bounds, identities
-from .bounds import CONSTANTS
 from .sieve import DEFAULT_SEGMENT_SIZE, SieveLimitError, _check_request, primes_array
 from .sums import accumulate_checkpoints, columns_at
 
@@ -132,7 +131,7 @@ def _run_table(args: argparse.Namespace) -> int:
     rows = []
     for x, pi, s, a in zip(*(cols[k].tolist() for k in ("x", "pi", "s", "a"))):
         lnln = math.log(math.log(float(x)))
-        rows.append((x, pi, s, a, s - lnln, lnln + CONSTANTS.B))
+        rows.append((x, pi, s, a, s - lnln, lnln + bounds.B))
     cells = [[str(x), str(pi), *(f"{v:.3f}" for v in rest)] for x, pi, *rest in rows]
     widths = [max(map(len, col)) for col in zip(_TABLE_FIELDS, *cells)]
     text = "".join(
@@ -296,10 +295,9 @@ def _check_b_cauchy(n_max: int, cols) -> list[CheckResult]:
 
 def _run_verify(args: argparse.Namespace) -> int:
     n_max = args.n_max
-    if n_max < CONSTANTS.rs_min_n:
+    if n_max < bounds.RS_MIN_N:
         raise ValueError(
-            f"verify needs --n-max >= {CONSTANTS.rs_min_n} "
-            f"(Rosser-Schoenfeld scan), got {n_max}"
+            f"verify needs --n-max >= {bounds.RS_MIN_N} (Rosser-Schoenfeld scan), got {n_max}"
         )
     # Some checks run before the accumulate pass, so refuse what the pass
     # would refuse (sieve cap, worker and segment ceilings) before any runs.
@@ -319,10 +317,8 @@ def _run_verify(args: argparse.Namespace) -> int:
     ]
 
     stieltjes_pts = identities.stieltjes_grid(min(10**5, n_max), prime_limit=min(10**4, n_max))
-    rs_ints = list(range(CONSTANTS.rs_min_n, min(10**5, n_max) + 1))
-    rs_logs = (
-        bounds.log_spaced_integers(CONSTANTS.rs_min_n, n_max) if n_max > 10**5 else []
-    )
+    rs_ints = list(range(bounds.RS_MIN_N, min(10**5, n_max) + 1))
+    rs_logs = bounds.log_spaced_integers(bounds.RS_MIN_N, n_max) if n_max > 10**5 else []
     rs_pts = sorted(set(rs_ints) | set(rs_logs))
     euler_pts = primes.tolist()
     cap_pts = bounds.log_spaced_integers(2, min(10**7, n_max))
@@ -330,8 +326,8 @@ def _run_verify(args: argparse.Namespace) -> int:
         {n_max, *rs_pts, *euler_pts, *cap_pts, *stieltjes_pts, *_decade_checkpoints(n_max)}
     )
     cols = accumulate_checkpoints(n_max, union, args.segment_size, args.workers)
-    rs = bounds.rosser_schoenfeld_check(columns_at(cols, rs_pts))
-    asym = _from_report(rs.asymmetric, gating=False)
+    rs_sym, rs_asym = bounds.rosser_schoenfeld_check(columns_at(cols, rs_pts))
+    asym = _from_report(rs_asym, gating=False)
     asym.detail += " (tightened upper variant is false near n=286; informational)"
     b_hat = bounds.estimate_mertens_B(n_max, columns_at(cols, [n_max])["s"].item())
     results = [
@@ -340,10 +336,10 @@ def _run_verify(args: argparse.Namespace) -> int:
         _check_stieltjes(columns_at(cols, stieltjes_pts), primes),
         *column_free,
         _from_report(bounds.euler_lower_bound_check(columns_at(cols, euler_pts))),
-        _from_report(rs.symmetric),
+        _from_report(rs_sym),
         asym,
         *map(_from_report, bounds.residual_caps_check(columns_at(cols, cap_pts))),
-        _check_envelope(cols, [x for x in cap_pts if x >= CONSTANTS.rs_min_n]),
+        _check_envelope(cols, [x for x in cap_pts if x >= bounds.RS_MIN_N]),
         *_check_b_cauchy(n_max, cols),
         CheckResult(
             "mertens_b_estimate",

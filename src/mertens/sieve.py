@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+from collections import deque
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -21,6 +23,7 @@ DEFAULT_SEGMENT_SIZE = 1 << 18  # integers per window; ~128 KiB of odd flags
 MAX_SIEVE_BOUND = 1 << 40
 MAX_WORKERS = 64
 MAX_SEGMENT_SIZE = 1 << 24
+POOL_SEGMENTS_IN_FLIGHT = 256  # packed segments a pool holds at most, whatever n
 
 _TWO = np.array([2], dtype=np.int64)
 
@@ -59,13 +62,7 @@ def base_odd_primes(limit: int) -> np.ndarray:
 
 def _segment_bounds(n: int, segment_size: int) -> list[tuple[int, int]]:
     # Contiguous [lo, hi) windows covering the integers [3, n + 1).
-    bounds = []
-    lo = 3
-    while lo <= n:
-        hi = min(lo + segment_size, n + 1)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
+    return [(lo, min(lo + segment_size, n + 1)) for lo in range(3, n + 1, segment_size)]
 
 
 def _odd_mask(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
@@ -98,10 +95,12 @@ def _pool_init(base_primes: np.ndarray) -> None:
     _POOL_BASE = base_primes
 
 
-def _pool_sieve(bounds: tuple[int, int]) -> tuple[int, int, int, bytes]:
-    lo, hi = bounds
-    mask = _odd_mask(lo, hi, _POOL_BASE)
-    return lo, hi, mask.shape[0], np.packbits(mask).tobytes()
+def _pool_sieve(task: list[tuple[int, int]]) -> list[tuple[int, int, int, bytes]]:
+    out = []
+    for lo, hi in task:
+        mask = _odd_mask(lo, hi, _POOL_BASE)
+        out.append((lo, hi, mask.shape[0], np.packbits(mask).tobytes()))
+    return out
 
 
 def _iter_odd_masks(
@@ -116,13 +115,19 @@ def _iter_odd_masks(
             yield lo, hi, _odd_mask(lo, hi, base)
         return
     procs = min(workers, len(bounds))
-    chunk = max(1, len(bounds) // (procs * 4))
+    window = 2 * procs  # tasks in flight
+    size = max(1, min(len(bounds) // (procs * 4), POOL_SEGMENTS_IN_FLIGHT // window))
+    tasks = (bounds[i : i + size] for i in range(0, len(bounds), size))
     with multiprocessing.Pool(procs, initializer=_pool_init, initargs=(base,)) as pool:
-        # imap preserves submission order: segments arrive ascending no matter
-        # which worker finishes first.
-        for lo, hi, count, packed in pool.imap(_pool_sieve, bounds, chunksize=chunk):
-            buf = np.frombuffer(packed, dtype=np.uint8)
-            yield lo, hi, np.unpackbits(buf, count=count).view(bool)
+        # Tasks are taken in submission order, so segments arrive ascending; one
+        # is submitted per task taken, so a slow consumer buffers one window.
+        pending = deque(pool.apply_async(_pool_sieve, (t,)) for t in islice(tasks, window))
+        while pending:
+            done = pending.popleft().get()
+            pending.extend(pool.apply_async(_pool_sieve, (t,)) for t in islice(tasks, 1))
+            for lo, hi, count, packed in done:
+                buf = np.frombuffer(packed, dtype=np.uint8)
+                yield lo, hi, np.unpackbits(buf, count=count).view(bool)
 
 
 def iter_prime_arrays(

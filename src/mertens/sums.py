@@ -26,11 +26,6 @@ from .sieve import (
     _validate_points,
 )
 
-# Numeric caps standing in for boundedness claims: Q is below sum 1/i^2
-# (pi^2/6 ~ 1.6449) and L is below the convergent sum ln(j)/(j^2 - j).
-Q_CAP = 1.645
-L_CAP = 2.0
-
 
 class CompensatedAccumulator:
     """Exact running sum, kept as a canonical expansion of floats.

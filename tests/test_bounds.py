@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from mertens.bounds import (
+    B,
     CHEBYSHEV_BLOCK,
-    CONSTANTS,
+    RS_MIN_N,
     binomial_prime_product_check,
     binomial_prime_product_scan,
     chebyshev_dyadic_check,
@@ -191,25 +192,25 @@ def test_euler_lower_bound_domain_error():
 
 
 def test_envelope_at_286_separates_the_two_variants():
-    check = rosser_schoenfeld_check(cols_at(286))
-    assert check.symmetric.violations == 0
-    assert math.isclose(check.symmetric.worst_margin, 4.0002e-4, rel_tol=1e-3)
+    symmetric, asymmetric = rosser_schoenfeld_check(cols_at(286))
+    assert symmetric.violations == 0
+    assert math.isclose(symmetric.worst_margin, 4.0002e-4, rel_tol=1e-3)
     # the tightened upper variant fails right at the threshold
-    assert check.asymmetric.violations == 1
-    assert math.isclose(check.asymmetric.worst_margin, -7.4149e-3, rel_tol=1e-3)
+    assert asymmetric.violations == 1
+    assert math.isclose(asymmetric.worst_margin, -7.4149e-3, rel_tol=1e-3)
 
 
 def test_envelope_scan_census(shared_scan):
     points = shared_scan.rs_points
-    check = rosser_schoenfeld_check(shared_scan.at(points))
-    assert check.symmetric.violations == 0
-    assert check.symmetric.worst_margin > 0.0
+    symmetric, _ = rosser_schoenfeld_check(shared_scan.at(points))
+    assert symmetric.violations == 0
+    assert symmetric.worst_margin > 0.0
     # measured once with exact arithmetic and frozen: the tightened variant
     # fails on exactly 467 integers, all in [286, 1675]
     dense = [x for x in points if x <= 10**5]
-    dense_check = rosser_schoenfeld_check(shared_scan.at(dense))
-    assert dense_check.asymmetric.violations == 467
-    assert dense_check.asymmetric.worst_arg == 286
+    _, dense_asymmetric = rosser_schoenfeld_check(shared_scan.at(dense))
+    assert dense_asymmetric.violations == 467
+    assert dense_asymmetric.worst_arg == 286
 
 
 def test_envelope_domain_error():
@@ -222,8 +223,8 @@ def test_envelope_domain_error():
 
 def test_estimate_b_at_1e6_and_286():
     s285, s286, s6 = cols_at(285, 286, 10**6)["s"].tolist()
-    assert abs(estimate_mertens_B(10**6, s6) - CONSTANTS.B) < 0.003
-    assert abs(estimate_mertens_B(286, s286) - CONSTANTS.B) < 0.0157
+    assert abs(estimate_mertens_B(10**6, s6) - B) < 0.003
+    assert abs(estimate_mertens_B(286, s286) - B) < 0.0157
     with pytest.raises(ValueError):
         estimate_mertens_B(285, s285)
 
@@ -251,7 +252,7 @@ def test_extrapolation_matches_sieved_value_at_1e6():
 def test_extrapolation_consistency_with_sieve(shared_scan):
     cols = shared_scan.at(shared_scan.cap_points)
     for x, s in zip(cols["x"].tolist(), cols["s"].tolist()):
-        if x < CONSTANTS.rs_min_n:
+        if x < RS_MIN_N:
             continue
         err = abs(s - extrapolate_sum(math.log10(x)))
         assert err <= envelope_halfwidth(x) + 1e-9

@@ -81,7 +81,7 @@ def test_table_bytes_stable_across_segmentation_and_workers(tmp_path, capsys):
     blobs = set()
     for segment_size, workers in [
         ("16384", "1"),
-        ("262144", "2"),
+        ("16384", "2"),  # seven segments, so the pool really starts
         ("1048576", "1"),
     ]:
         path = tmp_path / f"t{segment_size}_{workers}.json"

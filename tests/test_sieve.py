@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from mertens import sieve
 from mertens.sieve import (
     DEFAULT_SEGMENT_SIZE,
     MAX_SIEVE_BOUND,
@@ -106,6 +107,19 @@ def test_worker_count_does_not_change_stream():
         [arr for _, _, arr in iter_prime_arrays(3 * 10**5, 1 << 16, workers=3)]
     )
     assert np.array_equal(serial, parallel)
+
+
+def test_pool_window_smaller_than_task_count(monkeypatch):
+    # 25 segments in tasks of 2, at most 4 tasks in flight: the window slides.
+    monkeypatch.setattr(sieve, "POOL_SEGMENTS_IN_FLIGHT", 8)
+    points = [10, 997, 4096, 4097, 65536, 10**5]
+    serial = accumulate_checkpoints(10**5, points, segment_size=4096, workers=1)
+    pooled = accumulate_checkpoints(10**5, points, segment_size=4096, workers=2)
+    for key, col in serial.items():
+        assert col.tobytes() == pooled[key].tobytes()
+    arrays = list(iter_prime_arrays(10**5, 4096, workers=2))
+    assert [hi for _, hi, _ in arrays[:-1]] == [lo for lo, _, _ in arrays[1:]]
+    assert np.array_equal(np.concatenate([arr for _, _, arr in arrays]), primes_array(10**5))
 
 
 def test_pi_at_input_validation():

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mertens.bounds import L_CAP, Q_CAP
 from mertens.sieve import primes_array
 from mertens.sums import (
-    L_CAP,
-    Q_CAP,
     CompensatedAccumulator,
     _term_arrays,
     accumulate_checkpoints,
