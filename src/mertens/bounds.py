@@ -4,8 +4,9 @@ Every check reports a BoundReport, or a list of them, with the worst signed
 margin (rhs - lhs) over the scanned range; a violation is a strictly
 negative margin.  Scans are exhaustive where cheap and log-spaced (256
 points per decade) beyond, since the scanned quantities only change at
-primes.  Checks of S, A, Q and L take the checkpoint columns they scan (see
-accumulate_checkpoints) and never start a pass of their own.
+primes.  No check sieves: checks of S, A, Q and L take the checkpoint
+columns they scan (see accumulate_checkpoints), and the exact integer checks
+take an ascending prime array holding every prime they need.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ Q_CAP = 1.645
 L_CAP = 2.0
 
 LOG_POINTS_PER_DECADE = 256
-CHEBYSHEV_BLOCK = 1 << 16  # integers per block, so peak memory is flat in hi
+CHEBYSHEV_BLOCK = 1 << 16  # integers per block; pi is counted per block, so memory is flat in hi
 
 
 @dataclass
@@ -66,39 +67,41 @@ def pi_table(limit: int) -> np.ndarray:
     return np.cumsum(flags, dtype=np.int64)
 
 
-def log_spaced_integers(lo: int, hi: int, per_decade: int = LOG_POINTS_PER_DECADE) -> list[int]:
+def log_spaced_integers(lo: int, hi: int) -> list[int]:
     """Distinct integers ~log-uniform in [lo, hi], endpoints included."""
     if lo < 1 or hi < lo:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     out = {lo, hi}
-    k_lo = math.floor(per_decade * math.log10(lo))
-    k_hi = math.ceil(per_decade * math.log10(hi))
+    k_lo = math.floor(LOG_POINTS_PER_DECADE * math.log10(lo))
+    k_hi = math.ceil(LOG_POINTS_PER_DECADE * math.log10(hi))
     for k in range(k_lo, k_hi + 1):
-        x = round(10.0 ** (k / per_decade))
+        x = round(10.0 ** (k / LOG_POINTS_PER_DECADE))
         if lo <= x <= hi:
             out.add(x)
     return sorted(out)
 
 
-def binomial_prime_product_check(n: int) -> BoundReport:
+def binomial_prime_product_check(n: int, primes: np.ndarray) -> BoundReport:
     """Exact big-integer check of the chain behind pi(x) = O(x / ln x).
 
     Verifies n^(pi(2n) - pi(n)) <= prod_{n < p <= 2n} p <= C(2n, n) <= 4^n.
     Margins are reported in log space (nats); verdicts use exact integers.
+    primes is ascending and holds every prime <= 2n + 1.
     """
-    return binomial_prime_product_scan(n, n)
+    return binomial_prime_product_scan(n, n, primes)
 
 
-def binomial_prime_product_scan(lo: int, hi: int) -> BoundReport:
+def binomial_prime_product_scan(lo: int, hi: int, primes: np.ndarray) -> BoundReport:
     """binomial_prime_product_check over every n in [lo, hi], incrementally.
 
     The central binomial, the prime product over (n, 2n] and 4^n are all
     updated in O(number-length) per step, so scanning [1, 2000] stays fast.
+    primes is ascending and holds every prime <= 2 hi + 1.
     """
     if not 1 <= lo <= hi <= 5000:
         raise ValueError(f"scan range must satisfy 1 <= lo <= hi <= 5000, got [{lo}, {hi}]")
     flags = np.zeros(2 * hi + 2, dtype=bool)
-    flags[primes_array(2 * hi + 1)] = True
+    flags[primes[: np.searchsorted(primes, 2 * hi + 1, side="right")]] = True
     is_prime = flags.tolist()
 
     binom = math.comb(2 * lo, lo)
@@ -138,29 +141,30 @@ def binomial_prime_product_scan(lo: int, hi: int) -> BoundReport:
     return BoundReport("binomial_prime_product", lo, hi, scanned, violations, worst[0], worst[1])
 
 
-def chebyshev_dyadic_check(
-    lo: int, hi: int, pi: np.ndarray | None = None
-) -> BoundReport:
+def chebyshev_dyadic_check(lo: int, hi: int, primes: np.ndarray) -> BoundReport:
     """Scan the dyadic prime-count bound and its telescoped consequence.
 
     For integer y in [lo, hi]: pi(y) - pi(y/2) <= 4 (y/ln y - (y/2)/ln(y/2));
     for integer x in the same range: pi(x) - pi(16) <= 4 x / ln x.
-    The range is scanned in blocks of CHEBYSHEV_BLOCK integers.
+    primes is ascending and holds every prime <= hi.  The range is scanned
+    in blocks of CHEBYSHEV_BLOCK integers, each counting pi by a binary
+    search in primes, so memory beyond primes is flat in hi.
     """
     if lo < 16:
         raise ValueError(f"dyadic bound needs lo >= 16, got {lo}")
     if hi < lo:
         raise ValueError(f"empty scan range [{lo}, {hi}]")
-    if pi is None:
-        pi = pi_table(hi)
+    pi16 = int(np.searchsorted(primes, 16, side="right"))
 
     def blocks():
         for start in range(lo, hi + 1, CHEBYSHEV_BLOCK):
             ys = np.arange(start, min(start + CHEBYSHEV_BLOCK, hi + 1), dtype=np.int64)
+            pi_y = np.searchsorted(primes, ys, side="right")
+            pi_half = np.searchsorted(primes, ys // 2, side="right")
             yf = ys.astype(np.float64)
             half = yf * 0.5
-            yield ys, 4.0 * (yf / np.log(yf) - half / np.log(half)) - (pi[ys] - pi[ys // 2])
-            yield ys, 4.0 * yf / np.log(yf) - (pi[ys] - pi[16]).astype(np.float64)
+            yield ys, 4.0 * (yf / np.log(yf) - half / np.log(half)) - (pi_y - pi_half)
+            yield ys, 4.0 * yf / np.log(yf) - (pi_y - pi16).astype(np.float64)
 
     return _combined_report("chebyshev_dyadic", lo, hi, blocks())
 

@@ -249,9 +249,9 @@ def _check_legendre_reconstruction(limit: int, primes) -> CheckResult:
     )
 
 
-def _check_euler_products() -> CheckResult:
+def _check_euler_products(primes) -> CheckResult:
     ns = (2, 3, 5, 7, 13, 31, 47)
-    checks = [identities.euler_product_check(n, 1 << 20) for n in ns]
+    checks = [identities.euler_product_check(n, 1 << 20, primes) for n in ns]
     gaps = [float(c.product) - c.partial_smooth_sum for c in checks]
     ok = all(c.bracket_ok and gap > 0.0 for c, gap in zip(checks, gaps))
     return CheckResult(
@@ -281,7 +281,7 @@ def _check_b_cauchy(n_max: int, cols) -> list[CheckResult]:
     s_at = columns_at(cols, xs)["s"].tolist()
     b_at = [bounds.estimate_mertens_B(x, s) for x, s in zip(xs, s_at)]
     worst, worst_k = min(
-        (1.0 / (2.0 * (k * math.log(10.0)) ** 2) - abs(b_lo - b_hi), k)
+        (bounds.envelope_halfwidth(10**k) - abs(b_lo - b_hi), k)
         for k, b_lo, b_hi in zip(ks, b_at, b_at[1:])
     )
     return [
@@ -293,60 +293,65 @@ def _check_b_cauchy(n_max: int, cols) -> list[CheckResult]:
     ]
 
 
+def _check_rs_envelope(cols) -> list[CheckResult]:
+    rs_sym, rs_asym = bounds.rosser_schoenfeld_check(cols)
+    asym = _from_report(rs_asym, gating=False)
+    asym.detail += " (tightened upper variant is false near n=286; informational)"
+    return [_from_report(rs_sym), asym]
+
+
+def _note_b_estimate(n_max: int, cols) -> CheckResult:
+    b_hat = bounds.estimate_mertens_B(n_max, columns_at(cols, [n_max])["s"].item())
+    return CheckResult(
+        "mertens_b_estimate",
+        True,
+        f"b_estimate({n_max})={b_hat:.12f} halfwidth={bounds.envelope_halfwidth(n_max):.3e}",
+        gating=False,
+    )
+
+
 def _run_verify(args: argparse.Namespace) -> int:
     n_max = args.n_max
     if n_max < bounds.RS_MIN_N:
         raise ValueError(
             f"verify needs --n-max >= {bounds.RS_MIN_N} (Rosser-Schoenfeld scan), got {n_max}"
         )
-    # Some checks run before the accumulate pass, so refuse what the pass
-    # would refuse (sieve cap, worker and segment ceilings) before any runs.
+    # The prime array is sieved before the accumulate pass, so refuse what the
+    # pass would refuse (sieve cap, worker and segment ceilings) before either.
     _check_request(n_max, args.segment_size, args.workers)
     # One prime array and one accumulate pass serve every check; the checks
-    # only read them. The checks that read no columns run before the pass,
-    # so their temporaries are freed before its columns are allocated.
-    primes = primes_array(min(10**6, n_max))
-    log_grid = _check_log_bound_grid()
-    abel = _check_abel_random(ABEL_RANDOM_CASES)
-    column_free = [
-        _check_factorial(n_max, primes),
-        _check_legendre_reconstruction(200, primes),
-        _check_euler_products(),
-        _from_report(bounds.binomial_prime_product_scan(1, 2000)),
-        _from_report(bounds.chebyshev_dyadic_check(16, min(10**6, n_max))),
-    ]
-
-    stieltjes_pts = identities.stieltjes_grid(min(10**5, n_max), prime_limit=min(10**4, n_max))
+    # only read them. The binomial scan to 2000 reads the primes <= 4001.
+    primes = primes_array(max(min(10**6, n_max), 4001))
+    below = lambda x: primes[: primes.searchsorted(x, side="right")]
+    stieltjes_pts = identities.stieltjes_grid(min(10**5, n_max), below(min(10**4, n_max)))
     rs_ints = list(range(bounds.RS_MIN_N, min(10**5, n_max) + 1))
     rs_logs = bounds.log_spaced_integers(bounds.RS_MIN_N, n_max) if n_max > 10**5 else []
     rs_pts = sorted(set(rs_ints) | set(rs_logs))
-    euler_pts = primes.tolist()
+    euler_pts = below(n_max).tolist()
     cap_pts = bounds.log_spaced_integers(2, min(10**7, n_max))
-    union = sorted(
-        {n_max, *rs_pts, *euler_pts, *cap_pts, *stieltjes_pts, *_decade_checkpoints(n_max)}
+    cols = accumulate_checkpoints(
+        n_max,
+        sorted(
+            {n_max, *rs_pts, *euler_pts, *cap_pts, *stieltjes_pts, *_decade_checkpoints(n_max)}
+        ),
+        args.segment_size,
+        args.workers,
     )
-    cols = accumulate_checkpoints(n_max, union, args.segment_size, args.workers)
-    rs_sym, rs_asym = bounds.rosser_schoenfeld_check(columns_at(cols, rs_pts))
-    asym = _from_report(rs_asym, gating=False)
-    asym.detail += " (tightened upper variant is false near n=286; informational)"
-    b_hat = bounds.estimate_mertens_B(n_max, columns_at(cols, [n_max])["s"].item())
     results = [
-        log_grid,
-        abel,
+        _check_log_bound_grid(),
+        _check_abel_random(ABEL_RANDOM_CASES),
         _check_stieltjes(columns_at(cols, stieltjes_pts), primes),
-        *column_free,
+        _check_factorial(n_max, primes),
+        _check_legendre_reconstruction(200, primes),
+        _check_euler_products(primes),
+        _from_report(bounds.binomial_prime_product_scan(1, 2000, primes)),
+        _from_report(bounds.chebyshev_dyadic_check(16, min(10**6, n_max), primes)),
         _from_report(bounds.euler_lower_bound_check(columns_at(cols, euler_pts))),
-        _from_report(rs_sym),
-        asym,
+        *_check_rs_envelope(columns_at(cols, rs_pts)),
         *map(_from_report, bounds.residual_caps_check(columns_at(cols, cap_pts))),
         _check_envelope(cols, [x for x in cap_pts if x >= bounds.RS_MIN_N]),
         *_check_b_cauchy(n_max, cols),
-        CheckResult(
-            "mertens_b_estimate",
-            True,
-            f"b_estimate({n_max})={b_hat:.12f} halfwidth={bounds.envelope_halfwidth(n_max):.3e}",
-            gating=False,
-        ),
+        _note_b_estimate(n_max, cols),
     ]
     failures = sum(1 for c in results if c.gating and not c.passed)
     for c in results:

@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import log_spaced_integers
-from .sieve import primes_array
 
 EPS = sys.float_info.epsilon
 
@@ -123,10 +122,10 @@ def stieltjes_identity_check(x: int, primes: np.ndarray, s_lhs: float) -> Identi
     return _verdict(s_lhs, _stieltjes_rhs(x, primes), REL_TOL_EXACT)
 
 
-def stieltjes_grid(limit: int, prime_limit: int = 10**4) -> list[int]:
-    """Scan grid: log-spaced thresholds plus every prime and prime+/-1."""
+def stieltjes_grid(limit: int, primes: np.ndarray) -> list[int]:
+    """Scan grid: log-spaced thresholds plus p - 1, p and p + 1 for each p in primes."""
     xs = set(log_spaced_integers(2, limit))
-    for p in primes_array(min(prime_limit, limit)).tolist():
+    for p in primes.tolist():
         for x in (p - 1, p, p + 1):
             if 2 <= x <= limit:
                 xs.add(x)
@@ -219,18 +218,19 @@ def _smooth_values(primes: list[int], cutoff: int) -> list[int]:
     return out
 
 
-def euler_product_check(n: int, cutoff: int) -> EulerProductCheck:
+def euler_product_check(n: int, cutoff: int, primes: np.ndarray) -> EulerProductCheck:
     """Bracket the finite Euler product by partial sums over smooth numbers.
 
     prod_{p <= n} (1 - 1/p)^(-1) equals the full sum of 1/j over n-smooth j,
     so truncating at a cutoff must undershoot the exact rational product,
     with the gap shrinking as the cutoff grows (checked at cutoff/2).
+    primes is ascending and holds every prime <= n.
     """
     if not 2 <= n <= 50:
         raise ValueError(f"exact product supported for 2 <= n <= 50, got {n}")
     if cutoff < n:
         raise ValueError(f"cutoff must be >= n, got {cutoff} < {n}")
-    ps = [int(p) for p in primes_array(n)]
+    ps = primes[: np.searchsorted(primes, n, side="right")].tolist()
     product = Fraction(1)
     for p in ps:
         product *= Fraction(p, p - 1)

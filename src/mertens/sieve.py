@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+from bisect import bisect_left
 from collections import deque
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
@@ -161,13 +162,14 @@ def iter_checkpoint_events(
     k = 0
     for lo, hi, arr in arrays:
         start = 0
-        while k < len(points) and points[k] < hi:
-            cut = int(np.searchsorted(arr, points[k], side="right"))
+        j = bisect_left(points, hi, k)
+        below_hi = points[k:j]
+        for x, cut in zip(below_hi, np.searchsorted(arr, below_hi, side="right").tolist()):
             if cut > start:
                 yield "terms", arr[start:cut]
                 start = cut
-            yield "checkpoint", points[k]
-            k += 1
+            yield "checkpoint", x
+        k = j
         if start < len(arr):
             yield "terms", arr[start:]
     while k < len(points):  # bounds below the first window (n < 2)

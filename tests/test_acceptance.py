@@ -190,7 +190,7 @@ def test_criterion_06_exact_identities():
         failures.append(f"abel worst rel_diff {worst:.3e}")
 
     primes = primes_array(10**5)
-    grid = stieltjes_grid(10**5, prime_limit=10**4)
+    grid = stieltjes_grid(10**5, primes_array(10**4))
     stj = stieltjes_scan(accumulate_checkpoints(grid[-1], grid), primes)
     worst_stj = max(v.rel_diff for _, v in stj)
     if worst_stj > 1e-12:
@@ -223,10 +223,11 @@ def test_criterion_06_exact_identities():
 
 def test_criterion_07_exact_inequality_chain(shared_scan):
     failures = []
-    binom = binomial_prime_product_scan(1, 2000)
+    primes = primes_array(10**6)
+    binom = binomial_prime_product_scan(1, 2000, primes)
     if binom.violations:
         failures.append(f"binomial chain: {binom.violations} violations")
-    cheb = chebyshev_dyadic_check(16, 10**6)
+    cheb = chebyshev_dyadic_check(16, 10**6, primes)
     if cheb.violations:
         failures.append(f"chebyshev: {cheb.violations} violations @ {cheb.worst_arg}")
     if not all(log_one_minus_bound(k / 2048.0).passed for k in range(1025)):

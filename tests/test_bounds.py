@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from mertens.bounds import (
     rosser_schoenfeld_check,
     pi_table,
 )
+from mertens.sieve import primes_array
 from mertens.sums import accumulate_checkpoints
 
 
@@ -27,38 +29,41 @@ def cols_at(*points):
     return accumulate_checkpoints(points[-1], points)
 
 
+PRIMES = primes_array(10**5)  # every prime the binomial and Chebyshev tests read
+
+
 # --- prime product <= central binomial <= 4^n --------------------------------
 
 
 def test_binomial_chain_at_one():
-    rep = binomial_prime_product_check(1)
+    rep = binomial_prime_product_check(1, PRIMES)
     assert rep.violations == 0
     assert rep.worst_margin == 0.0  # product over (1,2] equals C(2,1) = 2
 
 
 def test_binomial_chain_at_five():
-    rep = binomial_prime_product_check(5)
+    rep = binomial_prime_product_check(5, PRIMES)
     assert rep.violations == 0
     # tightest link is 5^1 <= 7 (the only prime in (5, 10])
     assert math.isclose(rep.worst_margin, math.log(7) - math.log(5), rel_tol=1e-12)
 
 
 def test_binomial_chain_at_2000_exact():
-    rep = binomial_prime_product_check(2000)
+    rep = binomial_prime_product_check(2000, PRIMES)
     assert rep.violations == 0
     assert rep.worst_margin > 0.0
 
 
 def test_binomial_scan_agrees_with_single_point_checks():
     for n in (1, 2, 3, 17, 100, 777, 2000):
-        single = binomial_prime_product_check(n)
-        scanned = binomial_prime_product_scan(n, n)
+        single = binomial_prime_product_check(n, PRIMES)
+        scanned = binomial_prime_product_scan(n, n, PRIMES)
         assert scanned.violations == single.violations
         assert math.isclose(scanned.worst_margin, single.worst_margin, rel_tol=1e-12)
 
 
 def test_binomial_scan_range_is_clean():
-    rep = binomial_prime_product_scan(1, 2000)
+    rep = binomial_prime_product_scan(1, 2000, PRIMES)
     assert rep.violations == 0
     assert rep.worst_margin >= 0.0
 
@@ -66,9 +71,9 @@ def test_binomial_scan_range_is_clean():
 def test_binomial_range_errors():
     for bad in (0, 5001):
         with pytest.raises(ValueError):
-            binomial_prime_product_check(bad)
+            binomial_prime_product_check(bad, PRIMES)
     with pytest.raises(ValueError):
-        binomial_prime_product_scan(0, 10)
+        binomial_prime_product_scan(0, 10, PRIMES)
 
 
 # --- dyadic prime-count bound ------------------------------------------------
@@ -79,7 +84,7 @@ def test_chebyshev_hand_values_at_16_and_100():
     assert pi[16] - pi[8] == 2
     rhs16 = 4.0 * (16.0 / math.log(16.0) - 8.0 / math.log(8.0))
     assert math.isclose(rhs16, 7.694, rel_tol=1e-3)
-    rep16 = chebyshev_dyadic_check(16, 16, pi=pi)
+    rep16 = chebyshev_dyadic_check(16, 16, PRIMES)
     assert rep16.violations == 0
     assert math.isclose(rep16.worst_margin, rhs16 - 2.0, rel_tol=1e-12)
 
@@ -88,7 +93,7 @@ def test_chebyshev_hand_values_at_16_and_100():
 
 
 def test_chebyshev_scan_to_1e5_is_clean():
-    rep = chebyshev_dyadic_check(16, 10**5)
+    rep = chebyshev_dyadic_check(16, 10**5, PRIMES)
     assert rep.violations == 0
     assert rep.worst_margin > 0.0
 
@@ -113,19 +118,37 @@ def test_chebyshev_blocks_match_whole_range_scan():
         (CHEBYSHEV_BLOCK - 3, 2 * CHEBYSHEV_BLOCK + 40),
         (16, hi_max),
     ]
-    # the true pi, and pi(y) = y, which violates the dyadic bound for large y
-    for pi in (pi_table(hi_max), np.arange(hi_max + 1, dtype=np.int64)):
+    # the true pi, and pi(y) = y (every integer >= 1 listed as a prime), which
+    # violates the dyadic bound for large y
+    for primes, pi in (
+        (primes_array(hi_max), pi_table(hi_max)),
+        (np.arange(1, hi_max + 1, dtype=np.int64), np.arange(hi_max + 1, dtype=np.int64)),
+    ):
         for lo, hi in ranges:
-            rep = chebyshev_dyadic_check(lo, hi, pi=pi)
+            rep = chebyshev_dyadic_check(lo, hi, primes)
             got = (rep.scanned, rep.violations, (rep.worst_margin, rep.worst_arg))
             assert got == whole_range_chebyshev(lo, hi, pi), (lo, hi)
 
 
+def test_chebyshev_memory_is_flat_in_hi():
+    primes = primes_array(2**20)
+    tracemalloc.start()
+    try:
+        chebyshev_dyadic_check(16, 2**17, primes)
+        _, peak_small = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        chebyshev_dyadic_check(16, 2**20, primes)
+        _, peak_large = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak_large - peak_small <= 1 << 20, (peak_small, peak_large)
+
+
 def test_chebyshev_domain_errors():
     with pytest.raises(ValueError):
-        chebyshev_dyadic_check(15, 100)
+        chebyshev_dyadic_check(15, 100, PRIMES)
     with pytest.raises(ValueError):
-        chebyshev_dyadic_check(20, 19)
+        chebyshev_dyadic_check(20, 19, PRIMES)
 
 
 # --- A(x) - ln x -------------------------------------------------------------

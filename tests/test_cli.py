@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import mertens.cli
+import mertens.sieve
 from mertens import __version__
 from mertens.bounds import envelope_halfwidth, estimate_mertens_B, extrapolate_sum
 from mertens.cli import main
@@ -270,9 +271,18 @@ def test_verify_rejects_small_n_max(capsys):
     assert "286" in err
 
 
-def test_verify_at_1e5_passes(capsys):
+def test_verify_at_1e5_passes(monkeypatch, capsys):
+    sieves = []
+    odd_masks = mertens.sieve._iter_odd_masks
+
+    def counted(*args):
+        sieves.append(args)
+        return odd_masks(*args)
+
+    monkeypatch.setattr(mertens.sieve, "_iter_odd_masks", counted)
     code, out, _ = run_cli(["verify", "--n-max", "100000"], capsys)
     assert code == 0
+    assert len(sieves) == 2, sieves  # the prime array, then the accumulate pass
     lines = out.splitlines()
     assert [line.split()[1] for line in lines[:-1]] == [
         "log_one_minus_bound",

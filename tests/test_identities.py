@@ -142,7 +142,7 @@ def test_stieltjes_at_1e5():
 
 
 def test_stieltjes_small_grid():
-    xs = stieltjes_grid(10**4, prime_limit=10**3)
+    xs = stieltjes_grid(10**4, primes_array(10**3))
     results = stieltjes_scan(accumulate_checkpoints(xs[-1], xs), primes_array(xs[-1]))
     assert all(v.rel_diff <= 1e-12 for _, v in results)
 
@@ -212,14 +212,14 @@ def test_factorial_log_domain_error():
 
 
 def test_euler_product_powers_of_two():
-    chk = euler_product_check(2, 1 << 20)
+    chk = euler_product_check(2, 1 << 20, primes_array(2))
     assert chk.product == Fraction(2)
     assert chk.partial_smooth_sum == 2.0 - 2.0**-20
     assert chk.bracket_ok
 
 
 def test_euler_product_at_seven():
-    chk = euler_product_check(7, 10**6)
+    chk = euler_product_check(7, 10**6, primes_array(7))
     assert chk.product == Fraction(35, 8)
     assert chk.partial_smooth_sum < 4.375
     assert 4.375 - chk.partial_smooth_sum < 0.05
@@ -230,7 +230,7 @@ def test_euler_product_partial_monotone_in_cutoff():
     previous = 0.0
     product = None
     for k in range(3, 17):
-        chk = euler_product_check(5, 1 << k)
+        chk = euler_product_check(5, 1 << k, primes_array(5))
         product = float(chk.product)
         assert chk.partial_smooth_sum >= previous
         assert chk.partial_smooth_sum < product
@@ -240,8 +240,8 @@ def test_euler_product_partial_monotone_in_cutoff():
 
 def test_euler_product_validation():
     with pytest.raises(ValueError):
-        euler_product_check(1, 100)
+        euler_product_check(1, 100, primes_array(1))
     with pytest.raises(ValueError):
-        euler_product_check(51, 100)
+        euler_product_check(51, 100, primes_array(51))
     with pytest.raises(ValueError):
-        euler_product_check(7, 5)
+        euler_product_check(7, 5, primes_array(7))
