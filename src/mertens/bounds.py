@@ -112,9 +112,7 @@ def binomial_prime_product_scan(lo: int, hi: int, primes: np.ndarray) -> BoundRe
 
     worst = (math.inf, -1)
     violations = 0
-    scanned = 0
-    n = lo
-    while True:
+    for n in range(lo, hi + 1):
         npow = n**delta
         margins = (
             math.log(prod) - math.log(npow),
@@ -122,12 +120,7 @@ def binomial_prime_product_scan(lo: int, hi: int, primes: np.ndarray) -> BoundRe
             math.log(power4) - math.log(binom),
         )
         violations += int(npow > prod) + int(prod > binom) + int(binom > power4)
-        scanned += 3
-        m = min(margins)
-        if m < worst[0]:
-            worst = (m, n)
-        if n == hi:
-            break
+        worst = min(worst, (min(margins), n))  # ties keep the lowest n
         # slide (n, 2n] to (n+1, 2n+2]: drop n+1, pick up 2n+1
         if is_prime[n + 1]:
             prod //= n + 1
@@ -137,7 +130,7 @@ def binomial_prime_product_scan(lo: int, hi: int, primes: np.ndarray) -> BoundRe
             delta += 1
         binom = binom * (2 * (2 * n + 1)) // (n + 1)
         power4 *= 4
-        n += 1
+    scanned = 3 * (hi - lo + 1)
     return BoundReport("binomial_prime_product", lo, hi, scanned, violations, worst[0], worst[1])
 
 

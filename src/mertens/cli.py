@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import random
@@ -103,17 +104,13 @@ def _decade_checkpoints(n_max: int) -> list[int]:
 def _write(
     args: argparse.Namespace, text: str, fields: tuple, rows: list[tuple], payload: dict
 ) -> None:
-    """Write the --format form of one result to --out, or else to stdout."""
+    """Write the --format form of one result to args.out (see _open_out)."""
     if args.output_format == "json":
         text = json.dumps(payload, separators=(",", ":")) + "\n"
     elif args.output_format == "csv":
         lines = [",".join(fields), *(",".join(map(repr, row)) for row in rows)]
         text = "\n".join(lines) + "\n"
-    if args.output_path:
-        with open(args.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    args.out.write(text)
 
 
 _TABLE_FIELDS = ("x", "pi", "s", "a", "s_minus_lnln", "extrapolated")
@@ -372,10 +369,22 @@ COMMANDS = {
 }
 
 
+def _open_out(args: argparse.Namespace) -> contextlib.AbstractContextManager:
+    """The --out file, opened before any work so an unwritable path fails first; else stdout."""
+    path = getattr(args, "output_path", None)
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {path}: {exc.strerror}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return COMMANDS[args.command](args)
+        with _open_out(args) as args.out:
+            return COMMANDS[args.command](args)
     except SieveLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

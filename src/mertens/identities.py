@@ -3,7 +3,8 @@
 Everything here evaluates both sides of an identity by independent routes
 and reports the disagreement.  Sums are accumulated with math.fsum (exact
 to one final rounding), so the tolerances below are dominated by per-term
-rounding, not by accumulation.
+rounding, not by accumulation.  stieltjes_scan carries one exact running
+sum over ascending points; stieltjes_identity_check is its one-point case.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import log_spaced_integers
+from .sums import CompensatedAccumulator
 
 EPS = sys.float_info.epsilon
 
@@ -95,31 +97,14 @@ def abel_identity_eval(seq: SequencePair) -> IdentityVerdict:
     return _verdict(lhs, rhs, REL_TOL_EXACT)
 
 
-def _stieltjes_rhs(x: int, primes: np.ndarray) -> float:
-    # pi(x)/x + integral of pi(t)/t^2 over [1.9, x], the integral taken
-    # exactly as a finite sum over the jumps of the step function pi.
-    k = int(np.searchsorted(primes, x, side="right"))
-    ps = primes[:k].astype(np.float64)
-    inv = 1.0 / ps
-    nxt = np.empty_like(inv)
-    nxt[:-1] = inv[1:]
-    nxt[-1] = 1.0 / float(x)
-    weights = np.arange(1, k + 1, dtype=np.float64)
-    integral = math.fsum((weights * (inv - nxt)).tolist())
-    return k / float(x) + integral
-
-
 def stieltjes_identity_check(x: int, primes: np.ndarray, s_lhs: float) -> IdentityVerdict:
     """S(x) = s_lhs against pi(x)/x + integral(pi(t)/t^2, t=1.9..x), exactly.
 
-    primes is ascending and holds every prime <= x.  pi vanishes on
-    [1.9, 2), so the literal lower limit 1.9 contributes nothing; it is kept
-    to match the partial-integration statement.
+    The one-point stieltjes_scan.  pi vanishes on [1.9, 2), so the literal
+    lower limit 1.9 contributes nothing; it matches the stated identity.
     """
-    x = int(x)
-    if x < 2:
-        raise ValueError(f"identity needs x >= 2, got {x}")
-    return _verdict(s_lhs, _stieltjes_rhs(x, primes), REL_TOL_EXACT)
+    cols = {"x": np.array([x], dtype=np.int64), "s": np.array([s_lhs], dtype=np.float64)}
+    return stieltjes_scan(cols, primes)[0][1]
 
 
 def stieltjes_grid(limit: int, primes: np.ndarray) -> list[int]:
@@ -135,13 +120,28 @@ def stieltjes_grid(limit: int, primes: np.ndarray) -> list[int]:
 def stieltjes_scan(
     cols: dict[str, np.ndarray], primes: np.ndarray
 ) -> list[tuple[int, IdentityVerdict]]:
-    """stieltjes_identity_check at every checkpoint; primes holds every prime <= the last x."""
-    xs = cols["x"].tolist()
-    if not xs or xs[0] < 2:
-        raise ValueError("scan needs a non-empty list of thresholds >= 2")
-    return [
-        (x, stieltjes_identity_check(x, primes, s)) for x, s in zip(xs, cols["s"].tolist())
-    ]
+    """S(x) = cols["s"] against pi(x)/x + integral(pi(t)/t^2), at each ascending cols["x"].
+
+    The integral is the sum over the jumps of pi: k (1/p_k - 1/p_{k+1}) for
+    k < pi(x), then pi(x) (1/p_pi(x) - 1/x).  One exact running sum carries
+    the jumps from point to point, so fsum of it plus the last term is the
+    correctly rounded integral.  primes holds every prime <= the last x.
+    """
+    xs = cols["x"]
+    if len(xs) == 0 or xs[0] < 2 or np.any(xs[1:] < xs[:-1]):
+        raise ValueError("scan needs ascending thresholds x >= 2")
+    ks = np.searchsorted(primes, xs, side="right")
+    inv = 1.0 / primes[: ks[-1]].astype(np.float64)
+    jumps = np.arange(1, ks[-1], dtype=np.float64) * (inv[:-1] - inv[1:])
+    tails = ks * (inv[ks - 1] - 1.0 / xs)
+    acc = CompensatedAccumulator()
+    done = 0
+    out = []
+    for x, k, head, tail, s in zip(*(c.tolist() for c in (xs, ks, ks / xs, tails, cols["s"]))):
+        acc.add_array(jumps[done : k - 1])
+        done = k - 1
+        out.append((x, _verdict(s, head + math.fsum([*acc.parts, tail]), REL_TOL_EXACT)))
+    return out
 
 
 def _require_prime(p: int) -> None:

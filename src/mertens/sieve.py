@@ -67,23 +67,21 @@ def _segment_bounds(n: int, segment_size: int) -> list[tuple[int, int]]:
 
 
 def _odd_mask(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
-    """Prime flags for the odd numbers in [lo, hi), lowest first."""
+    """Prime flags for the odd numbers in [lo, hi), lowest first.
+
+    base_primes holds the odd primes <= sqrt(hi - 1), ascending.  Each one's
+    first odd multiple >= max(p^2, lo) is p q, q the least odd cofactor
+    >= max(p, lo / p), found for all of them in one numpy step; the only
+    Python per prime is one slice assignment, empty when p q >= hi.
+    """
     first = lo | 1
-    count = (hi - first + 1) // 2
-    mask = np.ones(max(count, 0), dtype=bool)
-    if count <= 0:
+    mask = np.ones(max((hi - first + 1) // 2, 0), dtype=bool)
+    if len(mask) == 0:
         return mask
-    for p in base_primes:
-        p = int(p)
-        if p * p >= hi:
-            break
-        start = p * p
-        if start < first:
-            start = ((first + p - 1) // p) * p
-            if start % 2 == 0:
-                start += p
-        if start < hi:
-            mask[(start - first) // 2 :: p] = False
+    ps = base_primes[: np.searchsorted(base_primes, math.isqrt(hi - 1), side="right")]
+    cofactors = np.maximum(ps, -(-first // ps)) | 1
+    for i, p in zip(((ps * cofactors - first) // 2).tolist(), ps.tolist()):
+        mask[i::p] = False
     return mask
 
 
@@ -179,10 +177,8 @@ def iter_checkpoint_events(
 
 def primes_array(n: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
     """Materialized int64 array of all primes <= n, ascending."""
-    chunks = [arr for _, _, arr in iter_prime_arrays(n, segment_size)]
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(chunks)
+    arrays = (arr for _, _, arr in iter_prime_arrays(n, segment_size))
+    return np.concatenate([np.empty(0, dtype=np.int64), *arrays])
 
 
 def _validate_points(points: Sequence[int]) -> list[int]:

@@ -87,22 +87,22 @@ def accumulate_checkpoints(
     if pts[-1] > n_max:
         raise ValueError(f"last checkpoint {pts[-1]} exceeds n_max {n_max}")
     pi = np.zeros(len(pts), dtype=np.int64)
-    s, a, q, l = (np.zeros(len(pts)) for _ in range(4))
-    acc_s, acc_a, acc_q, acc_l = (CompensatedAccumulator() for _ in range(4))
+    sums = np.zeros((4, len(pts)))  # rows S, A, Q, L
+    accs = [CompensatedAccumulator() for _ in range(4)]
+    values = [0.0] * 4
     count = k = 0
     arrays = iter_prime_arrays(pts[-1], segment_size, workers)
     for kind, payload in iter_checkpoint_events(arrays, pts):
         if kind == "terms":
-            t_s, t_a, t_q, t_l = _term_arrays(payload)
-            acc_s.add_array(t_s)
-            acc_a.add_array(t_a)
-            acc_q.add_array(t_q)
-            acc_l.add_array(t_l)
+            for acc, terms in zip(accs, _term_arrays(payload)):
+                acc.add_array(terms)
+            values = [acc.value for acc in accs]
             count += len(payload)
         else:
             pi[k] = count
-            s[k], a[k], q[k], l[k] = acc_s.value, acc_a.value, acc_q.value, acc_l.value
+            sums[:, k] = values
             k += 1
+    s, a, q, l = sums
     return {"x": np.array(pts, dtype=np.int64), "pi": pi, "s": s, "a": a, "q": q, "l": l}
 
 

@@ -265,6 +265,19 @@ def test_verify_rejects_out_flag(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_unwritable_out_exits_2_before_the_sieve(tmp_path, monkeypatch, capsys):
+    def no_pass(*args, **kwargs):
+        raise AssertionError("the sieve pass ran")
+
+    monkeypatch.setattr(mertens.cli, "accumulate_checkpoints", no_pass)
+    for path in (tmp_path / "missing" / "t.csv", tmp_path):
+        for argv in (["table", "--n-max", "1e4"], ["estimate-b"], ["extrapolate", "--log10-x", "3"]):
+            code, out, err = run_cli([*argv, "--out", str(path)], capsys)
+            assert (code, out) == (2, ""), (argv, path)
+            assert err.startswith("error: ") and str(path) in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_verify_rejects_small_n_max(capsys):
     code, _, err = run_cli(["verify", "--n-max", "100"], capsys)
     assert code == 2

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,6 +151,46 @@ def test_stieltjes_small_grid():
 def test_stieltjes_domain_error():
     with pytest.raises(ValueError):
         stieltjes_at(1)
+    primes = primes_array(100)
+    with pytest.raises(ValueError):
+        stieltjes_scan({"x": np.array([10, 5]), "s": np.zeros(2)}, primes)
+
+
+def stieltjes_rhs_reference(x, primes):
+    """pi(x)/x + the jump sum, summed from scratch over every prime <= x."""
+    k = int(np.searchsorted(primes, x, side="right"))
+    ps = primes[:k].astype(np.float64)
+    inv = 1.0 / ps
+    nxt = np.empty_like(inv)
+    nxt[:-1] = inv[1:]
+    nxt[-1] = 1.0 / float(x)
+    weights = np.arange(1, k + 1, dtype=np.float64)
+    integral = math.fsum((weights * (inv - nxt)).tolist())
+    return k / float(x) + integral
+
+
+def test_stieltjes_scan_is_bitwise_the_per_point_sum():
+    # verify's grid to 1e5, plus runs of consecutive x where pi(x) repeats
+    xs = sorted(
+        {*stieltjes_grid(10**5, primes_array(10**4)), *range(114, 128), *range(99_990, 100_001)}
+    )
+    primes = primes_array(10**5)
+    cols = accumulate_checkpoints(10**5, xs)
+    results = stieltjes_scan(cols, primes)
+    assert [x for x, _ in results] == xs
+    got = np.array([v.rhs for _, v in results])
+    want = np.array([stieltjes_rhs_reference(x, primes) for x in xs])
+    assert got.tobytes() == want.tobytes()
+    assert all(v.lhs == s for (_, v), s in zip(results, cols["s"].tolist()))
+
+
+def test_stieltjes_check_is_the_scan_at_one_point():
+    xs = [2, 3, 4, 120, 127, 9973, 10**4]
+    primes = primes_array(10**4)
+    cols = accumulate_checkpoints(10**4, xs)
+    results = stieltjes_scan(cols, primes)
+    for (x, v), s in zip(results, cols["s"].tolist()):
+        assert stieltjes_identity_check(x, primes, s) == v
 
 
 # --- Legendre's formula ----------------------------------------------------

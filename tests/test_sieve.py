@@ -155,3 +155,45 @@ def test_prime_stream_carries_configuration():
     assert np.concatenate([arr for _, _, arr in arrays]).tolist() == [
         n for n in range(2, 51) if trial_is_prime(n)
     ]
+
+
+def odd_mask_reference(lo, hi, base_primes):
+    """One prime at a time: the start offset worked out in Python, with fix-ups."""
+    first = lo | 1
+    count = (hi - first + 1) // 2
+    mask = np.ones(max(count, 0), dtype=bool)
+    if count <= 0:
+        return mask
+    for p in base_primes:
+        p = int(p)
+        if p * p >= hi:
+            break
+        start = p * p
+        if start < first:
+            start = ((first + p - 1) // p) * p
+            if start % 2 == 0:
+                start += p
+        if start < hi:
+            mask[(start - first) // 2 :: p] = False
+    return mask
+
+
+def test_odd_mask_matches_per_prime_reference():
+    base = sieve.base_odd_primes(1 << 20)
+    rng = random.Random(1940)
+    windows = [(3, 3), (3, 2), (3, 4), (3, 5), (4, 6), (3, 100), (1000, 1003)]
+    for p in base[:40].tolist():
+        sq = p * p
+        # lo below, at and above p^2; hi = p^2 and p^2 + 1
+        windows += [(sq - 2 * p, sq), (sq - 2 * p, sq + 1), (sq, sq + 1), (sq + 1, sq + 3)]
+    for _ in range(150):
+        lo = rng.randint(3, 10**7)
+        windows.append((lo, lo + rng.randint(0, 3 * 10**4)))
+    top = sieve.MAX_SIEVE_BOUND
+    for _ in range(6):
+        hi = top - rng.randint(0, 100)
+        windows.append((hi - rng.randint(1, 2 * 10**5), hi))
+    for lo, hi in windows:
+        got = sieve._odd_mask(lo, hi, base)
+        want = odd_mask_reference(lo, hi, base)
+        assert got.shape == want.shape and np.array_equal(got, want), (lo, hi)
