@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from mertens import sieve, sums
 from mertens.bounds import L_CAP, Q_CAP
 from mertens.sieve import primes_array
 from mertens.sums import (
+    COMPRESS_MIN,
     CompensatedAccumulator,
     _term_arrays,
     accumulate_checkpoints,
@@ -27,12 +30,33 @@ def exact_float_sum(values) -> Fraction:
     return total
 
 
+def parts_reference(parts: list[float], arr: np.ndarray) -> list[float]:
+    """add_array's element-by-element route: the canonical expansion via fsum."""
+    work = arr.tolist() + parts
+    out = []
+    while (r := math.fsum(work)) != 0.0:
+        out.append(r)
+        work.append(-r)
+    return out
+
+
+def assert_add_array_exact(arr: np.ndarray, start: list[float]) -> None:
+    acc = CompensatedAccumulator()
+    acc.parts = list(start)
+    acc.add_array(arr)
+    assert [x.hex() for x in acc.parts] == [x.hex() for x in parts_reference(start, arr)]
+    assert acc.value == float(exact_float_sum(start + arr.tolist()))
+
+
+START_PARTS = parts_reference([], np.array([0.5, 1.0 / 3.0, 0.2]))
+
+
 def test_accumulator_error_bound_random():
     rng = random.Random(4242)
     values = [rng.uniform(-1.0, 1.0) for _ in range(10**4)]
     acc = CompensatedAccumulator()
     for v in values:
-        acc.add(v)
+        acc.add_array(np.array([v]))
     assert acc.value == float(exact_float_sum(values))
 
 
@@ -41,7 +65,7 @@ def test_accumulator_error_bound_random():
 def test_accumulator_error_bound_property(values):
     acc = CompensatedAccumulator()
     for v in values:
-        acc.add(v)
+        acc.add_array(np.array([v]))
     assert acc.value == float(exact_float_sum(values))
 
 
@@ -50,7 +74,7 @@ def test_add_array_matches_scalar_adds_bitwise():
     arr = rng.uniform(-1.0, 1.0, size=5000)
     one = CompensatedAccumulator()
     for v in arr.tolist():
-        one.add(v)
+        one.add_array(np.array([v]))
     other = CompensatedAccumulator()
     other.add_array(arr)
     split = CompensatedAccumulator()
@@ -66,6 +90,105 @@ def test_add_array_rejects_a_nan_term():
     with pytest.raises(ValueError):
         acc.add_array(np.array([0.125, math.nan]))
     assert acc.value == 0.75
+    for bad in (math.nan, math.inf, -math.inf):
+        long = np.full(COMPRESS_MIN + 5, 0.125)
+        long[7] = bad
+        with pytest.raises(ValueError):
+            acc.add_array(long)
+        assert acc.parts == [0.75]
+
+
+def test_add_array_overflow_raises_overflow_error_on_both_routes():
+    acc = CompensatedAccumulator()
+    acc.add_array(np.array([0.5]))
+    for n in (COMPRESS_MIN - 1, 600):
+        with pytest.raises(OverflowError):
+            acc.add_array(np.full(n, 1.7e308))
+        assert acc.parts == [0.5]
+
+
+def test_add_array_routes_by_length_with_equal_parts(monkeypatch):
+    calls = []
+    chunks = sums._exact_chunks
+
+    def counted(arr):
+        calls.append(len(arr))
+        return chunks(arr)
+
+    monkeypatch.setattr(sums, "_exact_chunks", counted)
+    rng = np.random.default_rng(21)
+    for n in (COMPRESS_MIN - 1, COMPRESS_MIN, COMPRESS_MIN + 1):
+        arr = 1.0 / rng.integers(3, 10**9, size=n).astype(np.float64)
+        for start in ([], START_PARTS):
+            assert_add_array_exact(arr, start)
+    assert calls == [COMPRESS_MIN] * 2 + [COMPRESS_MIN + 1] * 2
+
+
+def test_long_add_array_with_mixed_signs_and_zeros():
+    rng = np.random.default_rng(5)
+    n = COMPRESS_MIN + 100
+    mixed = rng.uniform(-1.0, 1.0, n) * np.ldexp(1.0, rng.integers(-80, 3, n))
+    mixed[::5] = 0.0
+    mixed[1] = -0.0
+    tiny_negative = np.full(n, -(2.0**-60))  # remainders that floor would round to 1
+    tiny_negative[0] = 1.0
+    for arr in (mixed, np.zeros(n), -mixed, tiny_negative):
+        for start in ([], START_PARTS):
+            assert_add_array_exact(arr, start)
+
+
+def test_long_add_array_with_subnormals_and_huge_values():
+    rng = np.random.default_rng(6)
+    n = COMPRESS_MIN + 50
+    subnormals = np.ldexp(rng.integers(1, 1 << 40, n).astype(np.float64), -1074)
+    near_1e300 = rng.uniform(0.5, 1.0, n) * 1e300
+    near_one = rng.uniform(-1.0, 1.0, n)
+    for arr in (
+        np.concatenate([near_1e300, subnormals]),
+        np.concatenate([near_1e300, -subnormals, -near_1e300[:10]]),
+        np.concatenate([near_one, subnormals]),
+        subnormals,
+    ):
+        for start in ([], START_PARTS):
+            assert_add_array_exact(arr, start)
+
+
+def test_long_add_array_rounds_exact_halfway_sums_to_even():
+    bits = np.full(512, 2.0**-62)  # 512 * 2**-62 = 2**-53, half an ulp of 1
+    for head, rounded in ((1.0, 1.0), (1.0 + 2.0**-52, 1.0 + 2.0**-51)):
+        arr = np.concatenate([[head], bits])
+        for sign in (1.0, -1.0):
+            acc = CompensatedAccumulator()
+            acc.add_array(sign * arr)
+            assert acc.value == sign * rounded
+            assert_add_array_exact(sign * arr, [])
+
+
+def test_long_add_array_on_real_term_arrays():
+    # The first default-size segment, where 1/p^2 spans 2^-3 to 2^-36, and a
+    # window just below the 2^40 sieve cap.
+    first = primes_array((1 << 18) - 1)[1:]
+    lo, hi = (1 << 40) - (1 << 16), 1 << 40
+    mask = sieve._odd_mask(lo, hi, sieve.base_odd_primes(1 << 20))
+    top = (lo | 1) + 2 * np.flatnonzero(mask).astype(np.int64)
+    assert len(top) >= COMPRESS_MIN and len(first) >= COMPRESS_MIN
+    for primes in (first, top):
+        for terms in _term_arrays(primes):
+            for start in ([], START_PARTS):
+                assert_add_array_exact(terms, start)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.integers(COMPRESS_MIN, COMPRESS_MIN + 200),
+        elements=st.floats(-1e300, 1e300, allow_nan=False),
+    )
+)
+def test_long_add_array_property(arr):
+    assert_add_array_exact(arr, [])
+    assert_add_array_exact(arr, START_PARTS)
 
 
 def test_sums_are_correctly_rounded_at_decades():
