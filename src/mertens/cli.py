@@ -223,12 +223,9 @@ def _check_stieltjes(cols, primes) -> CheckResult:
 def _check_factorial(n_max: int, primes) -> CheckResult:
     ns = list(range(1, min(2000, n_max) + 1))
     ns += [x for x in (10**4, 10**5) if x <= n_max]
-    worst = 0.0
-    ok = True
-    for n in ns:
-        check = identities.factorial_log_identity(n, primes)
-        worst = max(worst, check.identity.rel_diff)
-        ok = ok and check.identity.passed and check.stirling_ok
+    checks = identities.factorial_log_scan(ns, primes)
+    worst = max(c.identity.rel_diff for c in checks)
+    ok = all(c.identity.passed and c.stirling_ok for c in checks)
     return CheckResult(
         "factorial_log_identity", ok, f"cases={len(ns)} worst_rel_diff={worst:.3e}"
     )

@@ -4,13 +4,16 @@ Everything here evaluates both sides of an identity by independent routes
 and reports the disagreement.  Sums are accumulated with math.fsum (exact
 to one final rounding), so the tolerances below are dominated by per-term
 rounding, not by accumulation.  stieltjes_scan carries one exact running
-sum over ascending points; stieltjes_identity_check is its one-point case.
+sum over ascending points, and factorial_log_scan reads every left side
+from one exact prefix sum; stieltjes_identity_check and
+factorial_log_identity are their one-point cases.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -18,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import log_spaced_integers
-from .sums import CompensatedAccumulator
+from .sums import CompensatedAccumulator, prefix_limbs, round_limbs
 
 EPS = sys.float_info.epsilon
 
@@ -176,22 +179,39 @@ class FactorialLogCheck:
 def factorial_log_identity(n: int, primes: np.ndarray) -> FactorialLogCheck:
     """ln(n!) summed directly against its prime-power decomposition.
 
-    lhs = sum of ln j for j = 2..n; rhs = sum over primes p <= n of
-    ln(p) * vp(n!), taken from the ascending array primes, which must hold
-    every prime <= n.  Also reports the weak-Stirling ratio, which stays in
-    [-1, 0] because (n/e)^n <= n! <= n^n.
+    The one-point factorial_log_scan.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    lhs = math.fsum(np.log(np.arange(2, n + 1, dtype=np.float64)).tolist())
-    ps = primes[: np.searchsorted(primes, n, side="right")].tolist()
-    rhs = math.fsum(math.log(p) * _vp_unchecked(n, p) for p in ps)
-    ratio = (lhs - n * math.log(n)) / n
-    return FactorialLogCheck(
-        identity=_verdict(lhs, rhs, REL_TOL_LOG_SUMS),
-        stirling_ratio=ratio,
-        stirling_ok=-1.0 <= ratio <= 0.0,
-    )
+    return factorial_log_scan([n], primes)[0]
+
+
+def factorial_log_scan(ns: Sequence[int], primes: np.ndarray) -> list[FactorialLogCheck]:
+    """factorial_log_identity at each n of ns, ascending, 1 <= n <= 2**23.
+
+    lhs = sum of ln j for j = 2..n, every one read from one exact prefix sum
+    of the np.log terms (n = 1 gives 0), so each is correctly rounded.
+    rhs = sum over primes p <= n of ln(p) * vp(n!) by math.fsum, taken from
+    the ascending array primes, which must hold every prime <= max(ns).
+    Also reports the weak-Stirling ratio, which stays in [-1, 0] because
+    (n/e)^n <= n! <= n^n.
+    """
+    cuts = np.asarray(ns, dtype=np.int64) - 1  # ln 2 .. ln n are the first n - 1 terms
+    if len(cuts) == 0 or cuts[0] < 0 or np.any(cuts[1:] < cuts[:-1]):
+        raise ValueError("factorial_log_scan needs ascending n >= 1")
+    logs = np.log(np.arange(2, cuts[-1] + 2, dtype=np.float64))
+    lhs = round_limbs(prefix_limbs([logs], cuts))[0]
+    ps = primes[: np.searchsorted(primes, cuts[-1] + 1, side="right")].tolist()
+    out = []
+    for n, left in zip((cuts + 1).tolist(), lhs.tolist()):
+        rhs = math.fsum(math.log(p) * _vp_unchecked(n, p) for p in ps[: bisect_right(ps, n)])
+        ratio = (left - n * math.log(n)) / n
+        out.append(
+            FactorialLogCheck(
+                identity=_verdict(left, rhs, REL_TOL_LOG_SUMS),
+                stirling_ratio=ratio,
+                stirling_ok=-1.0 <= ratio <= 0.0,
+            )
+        )
+    return out
 
 
 @dataclass

@@ -12,6 +12,7 @@ from mertens.identities import (
     abel_identity_eval,
     euler_product_check,
     factorial_log_identity,
+    factorial_log_scan,
     legendre_vp,
     log_one_minus_bound,
     stieltjes_grid,
@@ -242,6 +243,29 @@ def test_factorial_log_range_and_large_n():
         assert check.stirling_ok
     big = factorial_log_identity(10**5, primes)
     assert -1.0 < big.stirling_ratio < 0.0
+
+
+def test_factorial_log_scan_equals_per_n_fsum_bitwise():
+    # Both sides as the per-n loop takes them: fsum of the np.log terms, and
+    # fsum of ln(p) * vp(n!) over the primes <= n.
+    primes = primes_array(10**5)
+    ns = list(range(1, 400)) + [1000, 1000, 2000, 10**4, 10**5]
+    checks = factorial_log_scan(ns, primes)
+    assert len(checks) == len(ns)
+    for n, check in zip(ns, checks):
+        lhs = math.fsum(np.log(np.arange(2, n + 1, dtype=np.float64)).tolist())
+        ps = primes[: np.searchsorted(primes, n, side="right")].tolist()
+        rhs = math.fsum(math.log(p) * legendre_vp(n, p) for p in ps)
+        assert (check.identity.lhs, check.identity.rhs) == (lhs, rhs), n
+    for n in (1, 2, 397, 10**5):
+        assert factorial_log_identity(n, primes) == checks[ns.index(n)]
+
+
+def test_factorial_log_scan_needs_ascending_n_from_one():
+    primes = primes_array(100)
+    for ns in ([], [0, 5], [5, 4], [-3]):
+        with pytest.raises(ValueError):
+            factorial_log_scan(ns, primes)
 
 
 def test_factorial_log_domain_error():

@@ -13,11 +13,16 @@ from mertens import sieve, sums
 from mertens.bounds import L_CAP, Q_CAP
 from mertens.sieve import primes_array
 from mertens.sums import (
+    BLOCK,
     COMPRESS_MIN,
+    GRID_LIMBS,
+    LIMB_BITS,
     CompensatedAccumulator,
     _term_arrays,
     accumulate_checkpoints,
     columns_at,
+    prefix_limbs,
+    round_limbs,
 )
 
 from conftest import decades_up_to
@@ -189,6 +194,124 @@ def test_long_add_array_on_real_term_arrays():
 def test_long_add_array_property(arr):
     assert_add_array_exact(arr, [])
     assert_add_array_exact(arr, START_PARTS)
+
+
+def reference_columns(n_max, points, segment_size=sieve.DEFAULT_SEGMENT_SIZE, workers=1):
+    """Checkpoint columns from the per-event loop: one add_array per sum and terms event."""
+    accs = [CompensatedAccumulator() for _ in range(4)]
+    pi, rows = [], []
+    count = 0
+    arrays = sieve.iter_prime_arrays(n_max, segment_size, workers)
+    for kind, payload in sieve.iter_checkpoint_events(arrays, points):
+        if kind == "terms":
+            for acc, terms in zip(accs, _term_arrays(payload)):
+                acc.add_array(terms)
+            count += len(payload)
+        else:
+            pi.append(count)
+            rows.append([acc.value for acc in accs])
+    s, a, q, l = np.array(rows).T.copy()
+    return {"x": np.array(points, dtype=np.int64), "pi": np.array(pi), "s": s, "a": a, "q": q, "l": l}
+
+
+def assert_columns_match_reference(n_max, points, segment_size=sieve.DEFAULT_SEGMENT_SIZE, workers=1):
+    cols = accumulate_checkpoints(n_max, points, segment_size, workers)
+    reference = reference_columns(n_max, points, segment_size, workers)
+    assert cols.keys() == reference.keys()
+    for key, col in cols.items():
+        assert col.dtype == reference[key].dtype, key
+        assert col.tobytes() == reference[key].tobytes(), key
+
+
+def assert_prefix_exact(rows, cuts) -> np.ndarray:
+    """prefix_limbs and round_limbs at cuts against a Fraction oracle; returns the values."""
+    limbs = prefix_limbs([np.array(row, dtype=np.float64) for row in rows], np.array(cuts))
+    assert limbs.shape == (GRID_LIMBS, len(rows), len(cuts))
+    assert ((limbs[1:] >= 0) & (limbs[1:] < 1 << LIMB_BITS)).all()  # normalized
+    values = round_limbs(limbs)
+    for i, row in enumerate(rows):
+        total, done = Fraction(0), 0
+        for k, cut in enumerate(cuts):
+            total += exact_float_sum(row[done:cut])
+            done = cut
+            held = sum(Fraction(int(v), 1 << (LIMB_BITS * j)) for j, v in enumerate(limbs[:, i, k]))
+            assert held == total, (i, cut)
+            assert values[i, k] == float(total), (i, cut)
+    return values
+
+
+def test_prefix_sums_round_exact_halfway_sums_to_even():
+    half = 2.0**-53  # half an ulp of 1
+    for head, tie, rounded in (
+        (1.0, half, 1.0),
+        (1.0 + 2.0**-52, half, 1.0 + 2.0**-51),
+        (2.0**-40, 2.0**-93, 2.0**-40),  # the leading limb is limb 2
+        (2.0**-40 + 2.0**-92, 2.0**-93, 2.0**-40 + 2.0**-91),
+        (3.0, 2.0**-52, 3.0),  # two bits in the leading limb
+    ):
+        values = assert_prefix_exact([[head, tie]], [0, 1, 2])
+        assert values[0].tolist() == [0.0, head, rounded]
+
+
+def test_prefix_sums_break_a_tie_by_a_bit_far_below_it():
+    # Each low bit sits in a different place: below the 62-bit window inside
+    # its last limb, in limb 4, and in limb 5, the grid's last.
+    half = 2.0**-53
+    for low in (2.0**-70, 2.0**-100, 2.0**-130, 2.0**-150):
+        values = assert_prefix_exact([[1.0, half, low]], [2, 3])
+        assert values[0].tolist() == [1.0, 1.0 + 2.0**-52]
+    values = assert_prefix_exact([[2.0**-40, 2.0**-93, 2.0**-150]], [2, 3])
+    assert values[0].tolist() == [2.0**-40, 2.0**-40 + 2.0**-92]
+
+
+def test_prefix_limbs_split_terms_near_the_sieve_cap_exactly():
+    # 1/p^2 and ln(p)/(p^2 - p) below 2^40 reach down to 2^-132; the first
+    # default-size segment spans 2^-1 to 2^-36 in one row.
+    lo, hi = (1 << 40) - (1 << 14), 1 << 40
+    mask = sieve._odd_mask(lo, hi, sieve.base_odd_primes(1 << 20))
+    top = (lo | 1) + 2 * np.flatnonzero(mask).astype(np.int64)
+    first = primes_array((1 << 18) - 1)[:2000]
+    for primes in (top, first):
+        n = len(primes)
+        rows = [terms.tolist() for terms in _term_arrays(primes)]
+        assert_prefix_exact(rows, [0, 1, n // 3, n // 3, n - 1, n])
+
+
+def test_prefix_limbs_refuse_what_the_grid_cannot_hold():
+    for rows in ([[2.0**29]], [[2.0**-151]], [[2.0**-1000]], [[0.5, 2.0**-151]], [[2.0**28] * 4]):
+        with pytest.raises(ValueError):
+            prefix_limbs([np.array(row) for row in rows], np.array([len(rows[0])]))
+
+
+def test_checkpoints_carry_across_block_edges():
+    # One segment holding BLOCK - 1, BLOCK and BLOCK + 1 checkpoints: its end
+    # is one more cut, so the cuts fill one block exactly, or spill 1 or 2
+    # into a second; later segments take the carry.
+    for count in (BLOCK - 1, BLOCK, BLOCK + 1):
+        points = list(range(3, 3 + count)) + [3 * BLOCK, 5 * BLOCK + 7]
+        assert_columns_match_reference(points[-1], points, segment_size=2 * BLOCK)
+
+
+def test_checkpoints_in_gaps_repeats_and_below_two():
+    zero = accumulate_checkpoints(1, [0, 1])
+    assert zero["pi"].tolist() == [0, 0]
+    for key in "saql":
+        assert zero[key].tolist() == [0.0, 0.0]
+    points = [0, 1, 2, 3, 24, 25, 26, 27, 28, 29, 30]  # 24..28 lie in one prime gap
+    for segment_size in (1, 5, 1 << 18):
+        assert_columns_match_reference(30, points, segment_size)
+    assert_prefix_exact([[0.5, 0.25, 0.125, 0.0625]], [0, 0, 2, 2, 4, 4])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sets(st.integers(0, 3000), min_size=1, max_size=80),
+    st.sampled_from([7, 64, 500, 4096]),
+    st.sampled_from([1, 2]),
+)
+def test_checkpoint_columns_match_the_per_event_loop(points, segment_size, workers):
+    points = sorted(points)
+    assert_columns_match_reference(points[-1], points, segment_size, workers)
 
 
 def test_sums_are_correctly_rounded_at_decades():
