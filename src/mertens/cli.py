@@ -17,6 +17,8 @@ import random
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import __version__, bounds, identities
 from .sieve import DEFAULT_SEGMENT_SIZE, SieveLimitError, _check_request, primes_array
 from .sums import accumulate_checkpoints, columns_at
@@ -124,7 +126,9 @@ def _run_table(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"--n-max {args.n_max} leaves the decades preset empty; pass --checkpoints"
             )
-    cols = accumulate_checkpoints(args.n_max, pts, args.segment_size, args.workers)
+    cols = accumulate_checkpoints(
+        args.n_max, pts, args.segment_size, args.workers, sums=("s", "a")
+    )
     rows = []
     for x, pi, s, a in zip(*(cols[k].tolist() for k in ("x", "pi", "s", "a"))):
         lnln = math.log(math.log(float(x)))
@@ -145,7 +149,7 @@ def _run_table(args: argparse.Namespace) -> int:
 
 def _run_estimate_b(args: argparse.Namespace) -> int:
     n_max = args.n_max
-    cols = accumulate_checkpoints(n_max, [n_max], args.segment_size, args.workers)
+    cols = accumulate_checkpoints(n_max, [n_max], args.segment_size, args.workers, sums=("s",))
     b_hat = bounds.estimate_mertens_B(n_max, cols["s"].item())
     width = bounds.envelope_halfwidth(n_max)
     text = f"b_estimate({n_max}) = {b_hat:.15f} (within {width:.3e} of B)\n"
@@ -304,6 +308,12 @@ def _note_b_estimate(n_max: int, cols) -> CheckResult:
     )
 
 
+def _union(*parts) -> np.ndarray:
+    """The distinct integers of parts, ascending, as one int64 array."""
+    pts = np.sort(np.concatenate([np.asarray(p, dtype=np.int64) for p in parts]))
+    return pts[np.append(True, pts[1:] != pts[:-1])]
+
+
 def _run_verify(args: argparse.Namespace) -> int:
     n_max = args.n_max
     if n_max < bounds.RS_MIN_N:
@@ -318,16 +328,14 @@ def _run_verify(args: argparse.Namespace) -> int:
     primes = primes_array(max(min(10**6, n_max), 4001))
     below = lambda x: primes[: primes.searchsorted(x, side="right")]
     stieltjes_pts = identities.stieltjes_grid(min(10**5, n_max), below(min(10**4, n_max)))
-    rs_ints = list(range(bounds.RS_MIN_N, min(10**5, n_max) + 1))
+    rs_ints = np.arange(bounds.RS_MIN_N, min(10**5, n_max) + 1)
     rs_logs = bounds.log_spaced_integers(bounds.RS_MIN_N, n_max) if n_max > 10**5 else []
-    rs_pts = sorted(set(rs_ints) | set(rs_logs))
-    euler_pts = below(n_max).tolist()
+    rs_pts = _union(rs_ints, rs_logs)
+    euler_pts = below(n_max)
     cap_pts = bounds.log_spaced_integers(2, min(10**7, n_max))
     cols = accumulate_checkpoints(
         n_max,
-        sorted(
-            {n_max, *rs_pts, *euler_pts, *cap_pts, *stieltjes_pts, *_decade_checkpoints(n_max)}
-        ),
+        _union([n_max], rs_pts, euler_pts, cap_pts, stieltjes_pts, _decade_checkpoints(n_max)),
         args.segment_size,
         args.workers,
     )

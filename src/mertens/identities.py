@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -184,6 +184,18 @@ def factorial_log_identity(n: int, primes: np.ndarray) -> FactorialLogCheck:
     return factorial_log_scan([n], primes)[0]
 
 
+def _add_exponents(exps: list[int], ps: list[int], n: int) -> None:
+    """Add the exponent of each prime ps[i] in n >= 1 to exps[i], by trial division."""
+    for i, p in enumerate(ps):
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+            exps[i] += 1
+    if n > 1:
+        exps[bisect_left(ps, n)] += 1
+
+
 def factorial_log_scan(ns: Sequence[int], primes: np.ndarray) -> list[FactorialLogCheck]:
     """factorial_log_identity at each n of ns, ascending, 1 <= n <= 2**23.
 
@@ -191,6 +203,8 @@ def factorial_log_scan(ns: Sequence[int], primes: np.ndarray) -> list[FactorialL
     of the np.log terms (n = 1 gives 0), so each is correctly rounded.
     rhs = sum over primes p <= n of ln(p) * vp(n!) by math.fsum, taken from
     the ascending array primes, which must hold every prime <= max(ns).
+    vp(n!) = vp((n - 1)!) + vp(n), so along a run n - 1, n the exponents
+    are carried by factoring n; after a jump they are recomputed.
     Also reports the weak-Stirling ratio, which stays in [-1, 0] because
     (n/e)^n <= n! <= n^n.
     """
@@ -200,9 +214,18 @@ def factorial_log_scan(ns: Sequence[int], primes: np.ndarray) -> list[FactorialL
     logs = np.log(np.arange(2, cuts[-1] + 2, dtype=np.float64))
     lhs = round_limbs(prefix_limbs([logs], cuts))[0]
     ps = primes[: np.searchsorted(primes, cuts[-1] + 1, side="right")].tolist()
+    log_ps = [math.log(p) for p in ps]
+    exps = [0] * len(ps)  # vp(prev!) for each p in ps
+    prev = 1
     out = []
     for n, left in zip((cuts + 1).tolist(), lhs.tolist()):
-        rhs = math.fsum(math.log(p) * _vp_unchecked(n, p) for p in ps[: bisect_right(ps, n)])
+        k = bisect_right(ps, n)
+        if n == prev + 1:
+            _add_exponents(exps, ps, n)
+        elif n != prev:
+            exps[:k] = [_vp_unchecked(n, p) for p in ps[:k]]
+        prev = n
+        rhs = math.fsum(log_p * e for log_p, e in zip(log_ps[:k], exps))
         ratio = (left - n * math.log(n)) / n
         out.append(
             FactorialLogCheck(

@@ -5,20 +5,20 @@ L(x) = sum ln(p)/(p^2 - p), each over primes p <= x.
 
 Every checkpoint value is the correctly rounded sum of the binary64 terms up
 to it.  prefix_limbs holds each running sum exactly as integer limbs on one
-fixed binary grid and reads every checkpoint of a sieve segment from them in
+fixed binary grid and reads every checkpoint of a sieve piece from them in
 a few vector steps, so the values depend only on which terms were added,
 never on how the sieve windows were sized or which worker produced them.
 CompensatedAccumulator keeps an exact running sum as floats for callers that
 add terms one array at a time.
 
 Checkpoints come back as columns: one numpy array per quantity, indexed
-like the requested points.
+like the requested points; a caller that reads only some of the sums asks
+for those alone, and the others are never computed.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -42,6 +42,7 @@ GRID_LIMBS = 6
 # call, so its limb arrays stay small whatever the number of points (at 2**12,
 # verify --n-max 1e7 peaked up to 0.7 MB higher: freed heap kept by malloc).
 BLOCK = 1 << 11
+SUMS = ("s", "a", "q", "l")
 
 
 def _limb_passes(r: np.ndarray, scale: float = _LIMB) -> Iterator[np.ndarray]:
@@ -228,11 +229,18 @@ def round_limbs(limbs: np.ndarray) -> np.ndarray:
     return np.ldexp(w.astype(np.float64), exp).reshape(limbs.shape[1:])
 
 
-def _term_arrays(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _term_arrays(values: np.ndarray, sums: Sequence[str] = SUMS) -> list[np.ndarray]:
+    """The term rows of values for each of sums, in that order; np.log only for A or L."""
     pf = values.astype(np.float64)
-    inv = 1.0 / pf
-    logs = np.log(pf)
-    return inv, logs / pf, 1.0 / (pf * pf), logs / (pf * pf - pf)
+    if "a" in sums or "l" in sums:
+        logs = np.log(pf)
+    terms = {
+        "s": lambda: 1.0 / pf,
+        "a": lambda: logs / pf,
+        "q": lambda: 1.0 / (pf * pf),
+        "l": lambda: logs / (pf * pf - pf),
+    }
+    return [terms[key]() for key in sums]
 
 
 def accumulate_checkpoints(
@@ -240,33 +248,37 @@ def accumulate_checkpoints(
     points: Sequence[int],
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
+    sums: Sequence[str] = SUMS,
 ) -> dict[str, np.ndarray]:
-    """One sieve pass giving x, pi(x), S, A, Q and L at each requested point.
+    """One sieve pass giving x, pi(x) and the requested sums at each point.
 
-    Returns one array per key "x", "pi", "s", "a", "q" and "l", with entry i
+    Returns one array per key "x", "pi" and each of sums, a non-empty
+    selection of "s", "a", "q" and "l" (all four by default), with entry i
     taken at points[i].  Points must be strictly ascending with
-    points[-1] <= n_max.  The columns are bit-identical for any segment size
-    and worker count.
+    points[-1] <= n_max.  The columns are bit-identical for any segment
+    size, worker count and selection of sums.
 
-    Each segment's term rows are summed once by prefix_limbs, at the
-    segment's checkpoints and its end, in blocks of at most BLOCK cuts; the
+    Each sieve piece's term rows are summed once by prefix_limbs, at the
+    piece's checkpoints and its end, in blocks of at most BLOCK cuts; the
     limbs at the end of a block carry into the next.
     """
-    pts = _validate_points(points)
-    if pts[-1] > n_max:
-        raise ValueError(f"last checkpoint {pts[-1]} exceeds n_max {n_max}")
-    xs = np.array(pts, dtype=np.int64)
-    pi = np.zeros(len(pts), dtype=np.int64)
-    sums = np.zeros((4, len(pts)))  # rows S, A, Q, L
-    carry = np.zeros((GRID_LIMBS, 4, 1), dtype=np.int64)
+    keys = [key for key in SUMS if key in sums]
+    if not sums or len(keys) < len(set(sums)):
+        raise ValueError(f"sums must be a non-empty selection of {SUMS}, got {sums!r}")
+    xs = _validate_points(points)
+    if xs[-1] > n_max:
+        raise ValueError(f"last checkpoint {xs[-1]} exceeds n_max {n_max}")
+    pi = np.zeros(len(xs), dtype=np.int64)
+    columns = np.zeros((len(keys), len(xs)))
+    carry = np.zeros((GRID_LIMBS, len(keys), 1), dtype=np.int64)
     count = k = 0
-    for _, hi, arr in iter_prime_arrays(pts[-1], segment_size, workers):
-        j = bisect_left(pts, hi, k)
+    for _, hi, arr in iter_prime_arrays(int(xs[-1]), segment_size, workers):
+        j = int(np.searchsorted(xs, hi))
         cuts = np.searchsorted(arr, xs[k:j], side="right")
         pi[k:j] = count + cuts
-        terms = _term_arrays(arr)
+        terms = _term_arrays(arr, keys)
         ends = np.append(cuts, len(arr))
-        dest = sums[:, k:j]
+        dest = columns[:, k:j]
         base = 0
         for b in range(0, len(ends), BLOCK):
             block = ends[b : b + BLOCK]
@@ -278,8 +290,7 @@ def accumulate_checkpoints(
             base = block[-1]
         count += len(arr)
         k = j
-    s, a, q, l = sums
-    return {"x": xs, "pi": pi, "s": s, "a": a, "q": q, "l": l}
+    return {"x": xs, "pi": pi, **dict(zip(keys, columns))}
 
 
 def columns_at(cols: dict[str, np.ndarray], points: Sequence[int]) -> dict[str, np.ndarray]:

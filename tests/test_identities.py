@@ -249,7 +249,8 @@ def test_factorial_log_scan_equals_per_n_fsum_bitwise():
     # Both sides as the per-n loop takes them: fsum of the np.log terms, and
     # fsum of ln(p) * vp(n!) over the primes <= n.
     primes = primes_array(10**5)
-    ns = list(range(1, 400)) + [1000, 1000, 2000, 10**4, 10**5]
+    # A run from 1, a repeat, a run after a jump, and lone jumps.
+    ns = list(range(1, 400)) + [1000, 1000, 1001, 1002, 1003, 2000, 10**4, 10**5]
     checks = factorial_log_scan(ns, primes)
     assert len(checks) == len(ns)
     for n, check in zip(ns, checks):

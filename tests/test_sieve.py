@@ -90,15 +90,18 @@ def test_pi_at_million_against_independent_sieve():
 
 
 def test_segment_boundaries_against_trial_division():
-    # Integers straddling the first few default segment boundaries.
-    boundaries = [3 + DEFAULT_SEGMENT_SIZE * k for k in (1, 2, 3)]
-    lo = min(boundaries) - 40
+    # Integers straddling the first few default window and piece boundaries
+    # against trial division; every integer up to the last against a dense sieve.
+    sizes = (DEFAULT_SEGMENT_SIZE, sieve.PIECE)
+    boundaries = [3 + size * k for size in sizes for k in (1, 2, 3)]
     hi = max(boundaries) + 40
-    member = set(
-        int(p) for p in primes_array(hi + 1) if lo <= p <= hi
-    )
-    for n in range(lo, hi + 1):
-        assert (n in member) == trial_is_prime(n)
+    primes = primes_array(hi)
+    flags = np.zeros(hi + 1, dtype=bool)
+    flags[primes] = True
+    assert flags.tolist() == list(dense_sieve_flags(hi))
+    for b in boundaries:
+        for n in range(b - 40, b + 41):
+            assert flags[n] == trial_is_prime(n), n
 
 
 def test_worker_count_does_not_change_stream():
@@ -110,8 +113,8 @@ def test_worker_count_does_not_change_stream():
 
 
 def test_pool_window_smaller_than_task_count(monkeypatch):
-    # 25 segments in tasks of 2, at most 4 tasks in flight: the window slides.
-    monkeypatch.setattr(sieve, "POOL_SEGMENTS_IN_FLIGHT", 8)
+    # 25 windows in tasks of 2, at most 4 tasks in flight: the window slides.
+    monkeypatch.setattr(sieve, "POOL_INTEGERS_IN_FLIGHT", 8 * 4096)
     points = [10, 997, 4096, 4097, 65536, 10**5]
     serial = accumulate_checkpoints(10**5, points, segment_size=4096, workers=1)
     pooled = accumulate_checkpoints(10**5, points, segment_size=4096, workers=2)
@@ -120,6 +123,33 @@ def test_pool_window_smaller_than_task_count(monkeypatch):
     arrays = list(iter_prime_arrays(10**5, 4096, workers=2))
     assert [hi for _, hi, _ in arrays[:-1]] == [lo for lo, _, _ in arrays[1:]]
     assert np.array_equal(np.concatenate([arr for _, _, arr in arrays]), primes_array(10**5))
+
+
+def test_windows_come_in_bounded_pieces():
+    # Windows below, at and above PIECE, one odd-sized (its pieces start on
+    # even integers), and one covering all of n.
+    n = 3 * 10**6
+    sizes = (4096, 1 << 18, 1 << 20, (1 << 20) + 7, 1 << 22)
+    configs = [(size, workers) for workers in (1, 2) for size in sizes]
+    streams = {c: list(iter_prime_arrays(n, *c)) for c in configs}
+    edges = set()
+    for (segment_size, _), arrays in streams.items():
+        assert arrays[0][0] == 0 and arrays[-1][1] == n + 1
+        assert [hi for _, hi, _ in arrays[:-1]] == [lo for lo, _, _ in arrays[1:]]
+        assert all(0 < hi - lo <= sieve.PIECE for lo, hi, _ in arrays)
+        assert all(lo <= arr.min(initial=lo) <= arr.max(initial=lo) < hi for lo, hi, arr in arrays)
+        windows = {3 + segment_size * k for k in range((n - 3) // segment_size + 1)}
+        assert windows <= {lo for lo, _, _ in arrays}  # a window edge is a piece edge
+        edges |= {lo for lo, _, _ in arrays}
+    want = primes_array(n, segment_size=4096)
+    for arrays in streams.values():
+        assert np.array_equal(np.concatenate([arr for _, _, arr in arrays]), want)
+    points = sorted({x + d for x in edges for d in (-1, 0, 1)} & set(range(n + 1)))
+    ref = accumulate_checkpoints(n, points, 4096, 1)
+    for segment_size, workers in configs[1:]:
+        cols = accumulate_checkpoints(n, points, segment_size, workers)
+        for key, col in ref.items():
+            assert col.tobytes() == cols[key].tobytes(), (segment_size, workers, key)
 
 
 def test_pi_at_input_validation():

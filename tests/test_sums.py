@@ -17,6 +17,7 @@ from mertens.sums import (
     COMPRESS_MIN,
     GRID_LIMBS,
     LIMB_BITS,
+    SUMS,
     CompensatedAccumulator,
     _term_arrays,
     accumulate_checkpoints,
@@ -170,7 +171,7 @@ def test_long_add_array_rounds_exact_halfway_sums_to_even():
 
 
 def test_long_add_array_on_real_term_arrays():
-    # The first default-size segment, where 1/p^2 spans 2^-3 to 2^-36, and a
+    # The first sieve piece (2^18 integers), where 1/p^2 spans 2^-3 to 2^-36, and a
     # window just below the 2^40 sieve cap.
     first = primes_array((1 << 18) - 1)[1:]
     lo, hi = (1 << 40) - (1 << 16), 1 << 40
@@ -266,7 +267,7 @@ def test_prefix_sums_break_a_tie_by_a_bit_far_below_it():
 
 def test_prefix_limbs_split_terms_near_the_sieve_cap_exactly():
     # 1/p^2 and ln(p)/(p^2 - p) below 2^40 reach down to 2^-132; the first
-    # default-size segment spans 2^-1 to 2^-36 in one row.
+    # sieve piece (2^18 integers) spans 2^-1 to 2^-36 in one row.
     lo, hi = (1 << 40) - (1 << 14), 1 << 40
     mask = sieve._odd_mask(lo, hi, sieve.base_odd_primes(1 << 20))
     top = (lo | 1) + 2 * np.flatnonzero(mask).astype(np.int64)
@@ -312,6 +313,19 @@ def test_checkpoints_in_gaps_repeats_and_below_two():
 def test_checkpoint_columns_match_the_per_event_loop(points, segment_size, workers):
     points = sorted(points)
     assert_columns_match_reference(points[-1], points, segment_size, workers)
+
+
+def test_sums_selects_columns_and_leaves_them_unchanged():
+    points = [2, 10, 1000, 65536, 10**5, 262147, 3 * 10**5]
+    full = accumulate_checkpoints(points[-1], points)
+    for sums in (("s",), ("a",), ("q",), ("l",), ("s", "a"), ("l", "q"), ("a", "l"), SUMS):
+        cols = accumulate_checkpoints(points[-1], points, sums=sums)
+        assert set(cols) == {"x", "pi", *sums}, sums
+        for key, col in cols.items():
+            assert col.tobytes() == full[key].tobytes(), (sums, key)
+    for sums in ((), ("s", "b"), ("pi",), ("x",)):
+        with pytest.raises(ValueError):
+            accumulate_checkpoints(10, [10], sums=sums)
 
 
 def test_sums_are_correctly_rounded_at_decades():
