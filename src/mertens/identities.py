@@ -1,12 +1,13 @@
 """Exact and near-exact identity checks over primes and finite sequences.
 
 Everything here evaluates both sides of an identity by independent routes
-and reports the disagreement.  Sums are accumulated with math.fsum (exact
-to one final rounding), so the tolerances below are dominated by per-term
-rounding, not by accumulation.  stieltjes_scan carries one exact running
-sum over ascending points, and factorial_log_scan reads every left side
-from one exact prefix sum; stieltjes_identity_check and
-factorial_log_identity are their one-point cases.
+and reports the disagreement.  Every sum is exact up to one final rounding
+(math.fsum, or the prefix limbs of sums), so the tolerances below are
+dominated by per-term rounding, not by accumulation.  stieltjes_scan reads
+the integral at every ascending point from one exact prefix sum over the
+jumps of pi, and factorial_log_scan every left side from one over ln j;
+stieltjes_identity_check and factorial_log_identity are their one-point
+cases.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import log_spaced_integers
-from .sums import CompensatedAccumulator, prefix_limbs, round_limbs
+from .sums import prefix_limbs, round_limbs
 
 EPS = sys.float_info.epsilon
 
@@ -126,9 +127,11 @@ def stieltjes_scan(
     """S(x) = cols["s"] against pi(x)/x + integral(pi(t)/t^2), at each ascending cols["x"].
 
     The integral is the sum over the jumps of pi: k (1/p_k - 1/p_{k+1}) for
-    k < pi(x), then pi(x) (1/p_pi(x) - 1/x).  One exact running sum carries
-    the jumps from point to point, so fsum of it plus the last term is the
-    correctly rounded integral.  primes holds every prime <= the last x.
+    k < pi(x), then the tail pi(x) (1/p_pi(x) - 1/x).  prefix_limbs sums the
+    jumps exactly at the cuts pi(x) - 1 and adds each point's tail as exact
+    limbs, the differences of its prefix sums over the tails, so round_limbs
+    gives every integral correctly rounded.  Points may repeat.  primes holds
+    every prime <= the last x, and pi of the last x must be below 2**23.
     """
     xs = cols["x"]
     if len(xs) == 0 or xs[0] < 2 or np.any(xs[1:] < xs[:-1]):
@@ -137,14 +140,12 @@ def stieltjes_scan(
     inv = 1.0 / primes[: ks[-1]].astype(np.float64)
     jumps = np.arange(1, ks[-1], dtype=np.float64) * (inv[:-1] - inv[1:])
     tails = ks * (inv[ks - 1] - 1.0 / xs)
-    acc = CompensatedAccumulator()
-    done = 0
-    out = []
-    for x, k, head, tail, s in zip(*(c.tolist() for c in (xs, ks, ks / xs, tails, cols["s"]))):
-        acc.add_array(jumps[done : k - 1])
-        done = k - 1
-        out.append((x, _verdict(s, head + math.fsum([*acc.parts, tail]), REL_TOL_EXACT)))
-    return out
+    each_tail = np.diff(prefix_limbs([tails], np.arange(len(xs) + 1)), axis=2)
+    rhs = ks / xs + round_limbs(prefix_limbs([jumps], ks - 1, each_tail))[0]
+    return [
+        (x, _verdict(s, r, REL_TOL_EXACT))
+        for x, s, r in zip(xs.tolist(), cols["s"].tolist(), rhs.tolist())
+    ]
 
 
 def _require_prime(p: int) -> None:

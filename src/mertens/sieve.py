@@ -199,13 +199,16 @@ def primes_array(n: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray
 
 
 def _validate_points(points: Sequence[int]) -> np.ndarray:
-    """points as a new int64 array, checked: non-empty, non-negative, strictly ascending."""
+    """points as a new int64 array, checked: non-empty, integers, non-negative, strictly ascending."""
     try:
         pts = np.array(points, dtype=np.int64)
     except OverflowError:
         raise SieveLimitError(
             f"checkpoints must lie in [0, {MAX_SIEVE_BOUND}], the sieve maximum"
         ) from None
+    given = np.asarray(points)
+    if (cut := np.flatnonzero(pts != given)).size:  # the int64 cast truncated a fraction
+        raise ValueError(f"checkpoints must be integers, got {given[cut[0]].item()!r}")
     if len(pts) == 0:
         raise ValueError("checkpoint list must be non-empty")
     if (down := np.flatnonzero(pts[1:] <= pts[:-1])).size:

@@ -4,12 +4,12 @@ S(x) = sum 1/p, A(x) = sum ln(p)/p, Q(x) = sum 1/p^2 and
 L(x) = sum ln(p)/(p^2 - p), each over primes p <= x.
 
 Every checkpoint value is the correctly rounded sum of the binary64 terms up
-to it.  prefix_limbs holds each running sum exactly as integer limbs on one
-fixed binary grid and reads every checkpoint of a sieve piece from them in
-a few vector steps, so the values depend only on which terms were added,
-never on how the sieve windows were sized or which worker produced them.
-CompensatedAccumulator keeps an exact running sum as floats for callers that
-add terms one array at a time.
+to it.  prefix_limbs holds running sums exactly as integer limbs on one fixed
+binary grid and reads every cut of a row from them in a few vector steps;
+round_limbs rounds all the cuts at once.  This is the package's one route to
+a correctly rounded sum (the scans in identities use it too), and the values
+depend only on which terms were added, never on how the sieve windows were
+sized or which worker produced them.
 
 Checkpoints come back as columns: one numpy array per quantity, indexed
 like the requested points; a caller that reads only some of the sums asks
@@ -19,22 +19,16 @@ for those alone, and the others are never computed.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .sieve import DEFAULT_SEGMENT_SIZE, iter_prime_arrays, _validate_points
 
 
-# add_array reduces arrays at least this long to integer limbs before fsum.
-# The limb route costs ~35 us a call and ~10 ns a term, the per-element route
-# ~100 ns a term; on real term arrays near 1e5, 1e7 and 1e8 they cross
-# between 320 and 352 elements (2-core Xeon VM, numpy 2.4.6).
-COMPRESS_MIN = 384
 LIMB_BITS = 30
 _LIMB = float(1 << LIMB_BITS)
 _LIMB_MASK = (1 << LIMB_BITS) - 1
-_CHUNK_MASK = (1 << 53) - 1
 # prefix_limbs' grid: limb j has unit 2**(-LIMB_BITS * j), so six limbs reach
 # 2**-150; the lowest bit of 1/p**2 below the sieve cap 2**40 is 2**-132.
 GRID_LIMBS = 6
@@ -45,66 +39,6 @@ BLOCK = 1 << 11
 SUMS = ("s", "a", "q", "l")
 
 
-def _limb_passes(r: np.ndarray, scale: float = _LIMB) -> Iterator[np.ndarray]:
-    """Split r exactly into LIMB_BITS-bit integer limbs, consuming it.
-
-    Every |r * scale| must be below 2**LIMB_BITS.  Each pass takes the next
-    LIMB_BITS bits of every element as an integer: r *= scale (2**LIMB_BITS
-    after the first pass), h = trunc(r), r -= h, all exact (floor would not
-    be: -2**-60 - floor(-2**-60) rounds to 1), so |h| < 2**30 and r stays in
-    (-1, 1).  The passes, yielded as one reused buffer h, end when every
-    remainder is zero.
-    """
-    h = np.empty_like(r)
-    while True:
-        r *= scale
-        np.trunc(r, out=h)
-        r -= h
-        yield h
-        if not r.any():
-            return
-        scale = _LIMB
-
-
-def _exact_chunks(arr: np.ndarray) -> list[float]:
-    """A few floats whose exact sum is the exact sum of arr.
-
-    With 2**top > max|x|, r = arr * 2**-top lies in (-1, 1) and _limb_passes
-    splits it.  The int64 sum of one limb is exact for len(arr) < 2**33.
-    The limb sums make one Python int, which is split into 53-bit pieces
-    that are floats exactly: each piece times its power of two is a multiple
-    of 2**-1074, like every term, so even below the normal range it needs no
-    rounding.  Raises ValueError for a non-finite element and OverflowError
-    when the sum leaves the float range.
-    """
-    mag = np.abs(arr)
-    peak = float(mag.max())
-    if not math.isfinite(peak):
-        raise ValueError(f"non-finite term {peak!r}: every term must be finite")
-    if peak == 0.0:
-        return []
-    top = math.frexp(peak)[1]
-    r = np.ldexp(arr, -top)
-    out = []
-    if top > 0:  # scaling down could round terms below 2**(top - 1022): pass them as they are
-        tiny = mag < math.ldexp(1.0, top - 1022)
-        out = arr[tiny].tolist()
-        r[tiny] = 0.0
-    total = passes = 0
-    for h in _limb_passes(r):
-        total = (total << LIMB_BITS) + int(h.sum(dtype=np.int64))
-        passes += 1
-    exp = top - LIMB_BITS * passes  # the sum is total * 2**exp
-    sign = -1.0 if total < 0 else 1.0
-    total = abs(total)
-    while total:
-        if piece := total & _CHUNK_MASK:
-            out.append(sign * math.ldexp(piece, exp))
-        total >>= 53
-        exp += 53
-    return out
-
-
 class CompensatedAccumulator:
     """Exact running sum, kept as a canonical expansion of floats.
 
@@ -113,6 +47,10 @@ class CompensatedAccumulator:
     remainder is zero (an empty list means zero).  The state depends only on
     the exact sum, never on the order of the terms or how add_array calls
     split them.
+
+    No package code sums with it: it stays as the tests' oracle for
+    accumulate_checkpoints, sharing no code with prefix_limbs, and as an
+    entry point the benchmark's tracer wraps.
     """
 
     __slots__ = ("parts",)
@@ -123,12 +61,10 @@ class CompensatedAccumulator:
     def add_array(self, arr: np.ndarray) -> None:
         """Add every element of arr; a non-finite one raises ValueError and adds nothing.
 
-        An array of COMPRESS_MIN or more elements enters as its _exact_chunks,
-        a shorter one element by element; either way math.fsum then finds the
-        new canonical expansion of the same exact sum.
+        math.fsum of the terms and the parts finds the new canonical expansion
+        one part at a time; a sum past the float range raises OverflowError.
         """
-        head = _exact_chunks(arr) if len(arr) >= COMPRESS_MIN else arr.tolist()
-        work = head + self.parts
+        work = arr.tolist() + self.parts
         parts = []
         while (r := math.fsum(work)) != 0.0:
             if not math.isfinite(r):
@@ -152,17 +88,20 @@ def prefix_limbs(
 
     terms holds rows of n nonnegative floats below 2**29 with no bit below
     2**-150, n < 2**23.  They are consumed (scaled and split in place).
-    cuts ascend and end at n, so the last column holds each row's whole sum;
-    carry is such a column, limbs[:, :, -1:] of the call for the terms
-    before these, or None for zero.  Every sum must stay below 2**30.
+    cuts ascend and end at n, so the last column holds each row's whole sum.
+    carry (None for zero) is added before normalizing: limbs[:, :, -1:] of
+    the call for the terms before these, or one column per cut whose limbs
+    need not be normalized.  Every sum must lie in [0, 2**30).
     Returns normalized limbs, shape (GRID_LIMBS, len(terms), len(cuts)):
     column k of row i is sum_j limbs[j, i, k] * 2**(-LIMB_BITS j), and
     round_limbs rounds it.
 
-    Each row is split by _limb_passes from its own top bit 2**top.  Per
-    pass, np.add.reduceat sums the limbs between consecutive cuts: integers
-    below 2**53, so float64 holds them exactly.  They are shifted onto the
-    grid, summed along the cuts, and carried.
+    Each row is split in passes from its top bit 2**top: scale it so that
+    the next LIMB_BITS bits lie above the point, h = trunc(row), row -= h,
+    all exact, until every remainder is zero.  Per pass,
+    np.add.reduceat sums the integer limbs h between consecutive cuts:
+    integers below 2**53, so float64 holds them exactly.  They are shifted
+    onto the grid, summed along the cuts, and carried.
     """
     starts = np.concatenate(([0], cuts[:-1]))
     nonempty = starts < cuts  # an empty piece's reduceat entry would be a term, not 0
@@ -178,8 +117,14 @@ def prefix_limbs(
         # Pass k has unit 2**(top - LIMB_BITS k) = 2**(d - LIMB_BITS j) with 0 <= d < LIMB_BITS:
         # a piece sum a adds a >> (LIMB_BITS - d) to limb j - 1 and its low bits, times 2**d, to limb j.
         d = top % LIMB_BITS
-        passes = _limb_passes(row, 2.0 ** (LIMB_BITS - top))
-        for j, h in enumerate(passes, (d - top) // LIMB_BITS + 1):
+        j, scale = (d - top) // LIMB_BITS + 1, 2.0 ** (LIMB_BITS - top)
+        h = np.empty_like(row)
+        while True:
+            row *= scale
+            # trunc, not floor: the two agree on these nonnegative terms, but only trunc
+            # keeps row -= h exact for a negative one (-2**-60 - floor(-2**-60) rounds to 1).
+            np.trunc(row, out=h)
+            row -= h
             pieces[nonempty] = np.add.reduceat(h, starts)
             a = pieces.astype(np.int64)
             high, low = a >> (LIMB_BITS - d), (a & ((1 << (LIMB_BITS - d)) - 1)) << d
@@ -187,6 +132,9 @@ def prefix_limbs(
                 raise ValueError("every bit of every term must be at least 2**-150")
             limbs[min(j - 1, GRID_LIMBS - 1), i] += high  # a part past the grid is 0 here
             limbs[min(j, GRID_LIMBS - 1), i] += low
+            if not row.any():
+                break
+            j, scale = j + 1, _LIMB
     np.cumsum(limbs, axis=2, out=limbs)
     if carry is not None:
         limbs += carry
@@ -194,7 +142,7 @@ def prefix_limbs(
         limbs[j - 1] += limbs[j] >> LIMB_BITS
         limbs[j] &= _LIMB_MASK
     if (limbs[0] >> LIMB_BITS).any():
-        raise ValueError("every sum must be below 2**30")
+        raise ValueError("every sum must lie in [0, 2**30)")
     return limbs
 
 

@@ -20,7 +20,7 @@ from mertens.identities import (
     stieltjes_scan,
 )
 from mertens.sieve import primes_array
-from mertens.sums import accumulate_checkpoints
+from mertens.sums import accumulate_checkpoints, columns_at
 
 
 # --- -ln(1-x) <= x + x^2 ---------------------------------------------------
@@ -171,18 +171,21 @@ def stieltjes_rhs_reference(x, primes):
 
 
 def test_stieltjes_scan_is_bitwise_the_per_point_sum():
-    # verify's grid to 1e5, plus runs of consecutive x where pi(x) repeats
-    xs = sorted(
+    primes = primes_array(10**5)
+    # verify's grid to 1e5, plus runs of consecutive x where pi(x) repeats;
+    # sparse points whose jump runs hold thousands of terms; repeated x
+    # (the scan takes non-strictly ascending points)
+    grid = sorted(
         {*stieltjes_grid(10**5, primes_array(10**4)), *range(114, 128), *range(99_990, 100_001)}
     )
-    primes = primes_array(10**5)
-    cols = accumulate_checkpoints(10**5, xs)
-    results = stieltjes_scan(cols, primes)
-    assert [x for x, _ in results] == xs
-    got = np.array([v.rhs for _, v in results])
-    want = np.array([stieltjes_rhs_reference(x, primes) for x in xs])
-    assert got.tobytes() == want.tobytes()
-    assert all(v.lhs == s for (_, v), s in zip(results, cols["s"].tolist()))
+    for xs in (grid, [2, 10**4, 10**5], [2, 2, 3, 3, 3, 10**4, 10**4, 99_991, 10**5, 10**5]):
+        cols = columns_at(accumulate_checkpoints(10**5, sorted(set(xs))), xs)
+        results = stieltjes_scan(cols, primes)
+        assert [x for x, _ in results] == xs
+        got = np.array([v.rhs for _, v in results])
+        want = np.array([stieltjes_rhs_reference(x, primes) for x in xs])
+        assert got.tobytes() == want.tobytes()
+        assert all(v.lhs == s for (_, v), s in zip(results, cols["s"].tolist()))
 
 
 def test_stieltjes_check_is_the_scan_at_one_point():

@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mertens import sieve, sums
+from mertens import sieve
 from mertens.bounds import L_CAP, Q_CAP
 from mertens.sieve import primes_array
 from mertens.sums import (
     BLOCK,
-    COMPRESS_MIN,
     GRID_LIMBS,
     LIMB_BITS,
     SUMS,
@@ -37,7 +36,7 @@ def exact_float_sum(values) -> Fraction:
 
 
 def parts_reference(parts: list[float], arr: np.ndarray) -> list[float]:
-    """add_array's element-by-element route: the canonical expansion via fsum."""
+    """The canonical expansion via fsum, written out independently of add_array."""
     work = arr.tolist() + parts
     out = []
     while (r := math.fsum(work)) != 0.0:
@@ -55,6 +54,8 @@ def assert_add_array_exact(arr: np.ndarray, start: list[float]) -> None:
 
 
 START_PARTS = parts_reference([], np.array([0.5, 1.0 / 3.0, 0.2]))
+# The "long" add_array tests take arrays of at least this many terms.
+LONG = 384
 
 
 def test_accumulator_error_bound_random():
@@ -97,7 +98,7 @@ def test_add_array_rejects_a_nan_term():
         acc.add_array(np.array([0.125, math.nan]))
     assert acc.value == 0.75
     for bad in (math.nan, math.inf, -math.inf):
-        long = np.full(COMPRESS_MIN + 5, 0.125)
+        long = np.full(LONG + 5, 0.125)
         long[7] = bad
         with pytest.raises(ValueError):
             acc.add_array(long)
@@ -107,32 +108,15 @@ def test_add_array_rejects_a_nan_term():
 def test_add_array_overflow_raises_overflow_error_on_both_routes():
     acc = CompensatedAccumulator()
     acc.add_array(np.array([0.5]))
-    for n in (COMPRESS_MIN - 1, 600):
+    for n in (LONG - 1, 600):
         with pytest.raises(OverflowError):
             acc.add_array(np.full(n, 1.7e308))
         assert acc.parts == [0.5]
 
 
-def test_add_array_routes_by_length_with_equal_parts(monkeypatch):
-    calls = []
-    chunks = sums._exact_chunks
-
-    def counted(arr):
-        calls.append(len(arr))
-        return chunks(arr)
-
-    monkeypatch.setattr(sums, "_exact_chunks", counted)
-    rng = np.random.default_rng(21)
-    for n in (COMPRESS_MIN - 1, COMPRESS_MIN, COMPRESS_MIN + 1):
-        arr = 1.0 / rng.integers(3, 10**9, size=n).astype(np.float64)
-        for start in ([], START_PARTS):
-            assert_add_array_exact(arr, start)
-    assert calls == [COMPRESS_MIN] * 2 + [COMPRESS_MIN + 1] * 2
-
-
 def test_long_add_array_with_mixed_signs_and_zeros():
     rng = np.random.default_rng(5)
-    n = COMPRESS_MIN + 100
+    n = LONG + 100
     mixed = rng.uniform(-1.0, 1.0, n) * np.ldexp(1.0, rng.integers(-80, 3, n))
     mixed[::5] = 0.0
     mixed[1] = -0.0
@@ -145,7 +129,7 @@ def test_long_add_array_with_mixed_signs_and_zeros():
 
 def test_long_add_array_with_subnormals_and_huge_values():
     rng = np.random.default_rng(6)
-    n = COMPRESS_MIN + 50
+    n = LONG + 50
     subnormals = np.ldexp(rng.integers(1, 1 << 40, n).astype(np.float64), -1074)
     near_1e300 = rng.uniform(0.5, 1.0, n) * 1e300
     near_one = rng.uniform(-1.0, 1.0, n)
@@ -177,7 +161,7 @@ def test_long_add_array_on_real_term_arrays():
     lo, hi = (1 << 40) - (1 << 16), 1 << 40
     mask = sieve._odd_mask(lo, hi, sieve.base_odd_primes(1 << 20))
     top = (lo | 1) + 2 * np.flatnonzero(mask).astype(np.int64)
-    assert len(top) >= COMPRESS_MIN and len(first) >= COMPRESS_MIN
+    assert len(top) >= LONG and len(first) >= LONG
     for primes in (first, top):
         for terms in _term_arrays(primes):
             for start in ([], START_PARTS):
@@ -188,7 +172,7 @@ def test_long_add_array_on_real_term_arrays():
 @given(
     arrays(
         np.float64,
-        st.integers(COMPRESS_MIN, COMPRESS_MIN + 200),
+        st.integers(LONG, LONG + 200),
         elements=st.floats(-1e300, 1e300, allow_nan=False),
     )
 )
@@ -462,3 +446,11 @@ def test_checkpoint_validation():
         accumulate_checkpoints(100, [50, 10])
     with pytest.raises(ValueError):
         accumulate_checkpoints(100, [10, 200])
+    for fractional, named in (([10.5], "10.5"), ([10.9, 20.2], "10.9"), ([2, 7.25, 9], "7.25")):
+        with pytest.raises(ValueError, match=named):
+            accumulate_checkpoints(100, fractional)
+    with pytest.raises(ValueError, match="7.5"):
+        accumulate_checkpoints(100, np.array([3.0, 7.5]))
+    assert accumulate_checkpoints(100, [10.0, 20])["x"].tolist() == [10, 20]  # integral floats pass
+    with pytest.raises(sieve.SieveLimitError, match="sieve maximum"):
+        accumulate_checkpoints(100, [2**70])
