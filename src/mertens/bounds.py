@@ -156,8 +156,9 @@ def chebyshev_dyadic_check(lo: int, hi: int, primes: np.ndarray) -> BoundReport:
             pi_half = np.searchsorted(primes, ys // 2, side="right")
             yf = ys.astype(np.float64)
             half = yf * 0.5
-            yield ys, 4.0 * (yf / np.log(yf) - half / np.log(half)) - (pi_y - pi_half)
-            yield ys, 4.0 * yf / np.log(yf) - (pi_y - pi16).astype(np.float64)
+            y_over_log = yf / np.log(yf)
+            yield ys, 4.0 * (y_over_log - half / np.log(half)) - (pi_y - pi_half)
+            yield ys, 4.0 * y_over_log - (pi_y - pi16).astype(np.float64)
 
     return _combined_report("chebyshev_dyadic", lo, hi, blocks())
 

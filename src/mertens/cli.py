@@ -13,9 +13,14 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import random
 import sys
 from dataclasses import dataclass
+
+# Nothing here calls BLAS, so numpy's OpenBLAS need not start nproc - 1 idle
+# threads; this runs before numpy loads, and a value the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

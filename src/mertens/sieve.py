@@ -11,7 +11,6 @@ no consumer array grows with the window.
 from __future__ import annotations
 
 import math
-import multiprocessing
 from bisect import bisect_left
 from collections import deque
 from itertools import islice
@@ -127,6 +126,8 @@ def _iter_odd_masks(
     in_flight = POOL_INTEGERS_IN_FLIGHT // (depth * segment_size)  # windows per task
     size = max(1, min(len(bounds) // (procs * 4), in_flight))
     tasks = (bounds[i : i + size] for i in range(0, len(bounds), size))
+    import multiprocessing  # here, not at the top: a single-process run never needs it
+
     with multiprocessing.Pool(procs, initializer=_pool_init, initargs=(base,)) as pool:
         # Tasks are taken in submission order, so windows arrive ascending; one
         # is submitted per task taken, so a slow consumer buffers depth tasks.
@@ -200,13 +201,17 @@ def primes_array(n: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray
 
 def _validate_points(points: Sequence[int]) -> np.ndarray:
     """points as a new int64 array, checked: non-empty, integers, non-negative, strictly ascending."""
-    try:
-        pts = np.array(points, dtype=np.int64)
-    except OverflowError:
-        raise SieveLimitError(
-            f"checkpoints must lie in [0, {MAX_SIEVE_BOUND}], the sieve maximum"
-        ) from None
     given = np.asarray(points)
+    beyond = f"checkpoints must lie in [0, {MAX_SIEVE_BOUND}], the sieve maximum"
+    if given.dtype.kind == "f":  # refused before the int64 cast, which would warn and wrap
+        if (bad := np.flatnonzero(~np.isfinite(given))).size:
+            raise ValueError(f"checkpoints must be finite, got {given[bad[0]].item()!r}")
+        if (np.abs(given) >= 2.0**63).any():
+            raise SieveLimitError(beyond)
+    try:
+        pts = np.array(given, dtype=np.int64)
+    except OverflowError:
+        raise SieveLimitError(beyond) from None
     if (cut := np.flatnonzero(pts != given)).size:  # the int64 cast truncated a fraction
         raise ValueError(f"checkpoints must be integers, got {given[cut[0]].item()!r}")
     if len(pts) == 0:

@@ -207,8 +207,8 @@ def accumulate_checkpoints(
     size, worker count and selection of sums.
 
     Each sieve piece's term rows are summed once by prefix_limbs, at the
-    piece's checkpoints and its end, in blocks of at most BLOCK cuts; the
-    limbs at the end of a block carry into the next.
+    piece's distinct checkpoint cuts and its end, in blocks of at most BLOCK
+    cuts; the limbs at the end of a block carry into the next.
     """
     keys = [key for key in SUMS if key in sums]
     if not sums or len(keys) < len(set(sums)):
@@ -225,17 +225,20 @@ def accumulate_checkpoints(
         cuts = np.searchsorted(arr, xs[k:j], side="right")
         pi[k:j] = count + cuts
         terms = _term_arrays(arr, keys)
-        ends = np.append(cuts, len(arr))
-        dest = columns[:, k:j]
+        # Points with one value of pi share a cut: each distinct cut is summed once.
+        distinct, which = np.unique(cuts, return_inverse=True)
+        ends = np.append(distinct, len(arr))
+        at_cut = np.empty((len(keys), len(distinct)))
         base = 0
         for b in range(0, len(ends), BLOCK):
             block = ends[b : b + BLOCK]
             limbs = prefix_limbs([t[base : block[-1]] for t in terms], block - base, carry)
-            out = dest[:, b : b + BLOCK]
+            out = at_cut[:, b : b + BLOCK]
             if out.shape[1]:
                 out[...] = round_limbs(limbs[:, :, : out.shape[1]])
             carry[...] = limbs[:, :, -1:]
             base = block[-1]
+        columns[:, k:j] = at_cut[:, which]
         count += len(arr)
         k = j
     return {"x": xs, "pi": pi, **dict(zip(keys, columns))}

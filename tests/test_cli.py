@@ -5,6 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import mertens
 import mertens.cli
 import mertens.sieve
 from mertens import __version__
@@ -343,3 +346,48 @@ def test_cli_as_a_process():
     assert run("table", "--n-max", "abc").returncode == 2
     capped = run("table", "--n-max", "1e13")
     assert (capped.returncode, capped.stdout) == (3, b"")
+
+
+def run_python(code: str, **env: str) -> list[str]:
+    """The words code prints in a fresh interpreter on this checkout.
+
+    OPENBLAS_NUM_THREADS is unset there unless env sets it: importing
+    mertens.cli has set it in this process.
+    """
+    clean = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(mertens.cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**clean, "PYTHONPATH": src, **env},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return done.stdout.split()
+
+
+def test_import_mertens_loads_no_numpy_and_leaves_blas_alone():
+    code = (
+        "import os, sys, mertens\n"
+        "print('numpy' in sys.modules)\n"
+        "print(mertens.primes_array(10).tolist() == [2, 3, 5, 7])\n"
+        "print(all(getattr(mertens, name) is not None for name in mertens.__all__))\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    )
+    assert run_python(code) == ["False", "True", "True", "None"]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mertens.no_such_name
+
+
+def test_cli_starts_openblas_on_one_thread_unless_told_otherwise():
+    code = (
+        "import os, mertens.cli\n"
+        "tasks = '/proc/self/task'\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+        "print(len(os.listdir(tasks)) if os.path.isdir(tasks) else 'no-proc')\n"
+    )
+    value, threads = run_python(code)
+    assert value == "1"
+    if threads != "no-proc":
+        assert threads == "1"
+    assert run_python(code, OPENBLAS_NUM_THREADS="2")[0] == "2"

@@ -1,3 +1,4 @@
+import multiprocessing
 import random
 
 import numpy as np
@@ -110,6 +111,20 @@ def test_worker_count_does_not_change_stream():
         [arr for _, _, arr in iter_prime_arrays(3 * 10**5, 1 << 16, workers=3)]
     )
     assert np.array_equal(serial, parallel)
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_pool_under_each_start_method_gives_the_serial_stream(monkeypatch, method):
+    # Workers that start from a fresh interpreter get the base primes from the
+    # pool initializer alone, and windows must still arrive ascending.
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(method).Pool)
+    serial, pooled = (
+        [(lo, hi, arr.tolist()) for lo, hi, arr in iter_prime_arrays(200_000, 1 << 14, w)]
+        for w in (1, 2)
+    )
+    assert pooled == serial
 
 
 def test_pool_window_smaller_than_task_count(monkeypatch):

@@ -269,12 +269,24 @@ def test_prefix_limbs_refuse_what_the_grid_cannot_hold():
 
 
 def test_checkpoints_carry_across_block_edges():
-    # One segment holding BLOCK - 1, BLOCK and BLOCK + 1 checkpoints: its end
-    # is one more cut, so the cuts fill one block exactly, or spill 1 or 2
-    # into a second; later segments take the carry.
+    # One segment holding BLOCK - 1, BLOCK and BLOCK + 1 checkpoints, each a
+    # prime so that no two share a cut: its end is one more cut, so the cuts
+    # fill one block exactly, or spill 1 or 2 into a second; later segments
+    # take the carry.
+    primes = primes_array(1 << 15).tolist()
     for count in (BLOCK - 1, BLOCK, BLOCK + 1):
-        points = list(range(3, 3 + count)) + [3 * BLOCK, 5 * BLOCK + 7]
-        assert_columns_match_reference(points[-1], points, segment_size=2 * BLOCK)
+        points = primes[1 : 1 + count] + [3 << 15, (5 << 15) + 7]
+        assert_columns_match_reference(points[-1], points, segment_size=1 << 15)
+
+
+def test_points_sharing_pi_take_their_columns_from_one_cut():
+    # Runs of points in one prime gap (1328..1360 and 31398..31468 each share
+    # one value of pi), one run crossing window edges at the smaller sizes,
+    # and 3 * BLOCK consecutive points that take only ~700 values of pi.
+    points = [*range(2, 40), *range(1328, 1361), *range(5000, 5000 + 3 * BLOCK)]
+    points += range(31398, 31469)
+    for segment_size in (64, 4096, 1 << 20):
+        assert_columns_match_reference(points[-1], points, segment_size)
 
 
 def test_checkpoints_in_gaps_repeats_and_below_two():
@@ -439,6 +451,7 @@ def test_q_and_l_caps_hold_on_checkpoints():
         assert l < L_CAP
 
 
+@pytest.mark.filterwarnings("error")  # numpy's cast warnings fail the test
 def test_checkpoint_validation():
     with pytest.raises(ValueError):
         accumulate_checkpoints(100, [])
@@ -452,5 +465,16 @@ def test_checkpoint_validation():
     with pytest.raises(ValueError, match="7.5"):
         accumulate_checkpoints(100, np.array([3.0, 7.5]))
     assert accumulate_checkpoints(100, [10.0, 20])["x"].tolist() == [10, 20]  # integral floats pass
-    with pytest.raises(sieve.SieveLimitError, match="sieve maximum"):
-        accumulate_checkpoints(100, [2**70])
+    # Past the int64 range, or not finite, a float is refused before the int64
+    # cast, which would warn and wrap.
+    for beyond in ([2**70], [5, 10**30], np.array([5.0, 1e30]), [5.0, 1e30], [-1e30]):
+        with pytest.raises(sieve.SieveLimitError, match="sieve maximum"):
+            accumulate_checkpoints(100, beyond)
+    for non_finite, named in (
+        ([5, math.nan], "nan"),
+        (np.array([5.0, np.nan]), "nan"),
+        ([5, math.inf], "inf"),
+        (np.array([5.0, -np.inf]), "-inf"),
+    ):
+        with pytest.raises(ValueError, match=f"must be finite, got {named}"):
+            accumulate_checkpoints(100, non_finite)
