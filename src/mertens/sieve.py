@@ -1,19 +1,16 @@
 """Segmented sieve of Eratosthenes streaming primes in deterministic order.
 
-The sieve walks fixed-size windows of the integer line, keeping only odd
-residues in memory (one boolean per odd number).  Windows may be sieved by
-a pool of worker processes, but consumers always receive them in ascending
-order, each as pieces of at most PIECE integers, so every downstream
-computation is bit-identical for any worker count and any window size, and
-no consumer array grows with the window.
+The sieve walks fixed-size windows of a run of the integer line, keeping
+only odd residues in memory (one boolean per odd number), and hands each
+window on in ascending pieces of at most PIECE integers, so no consumer
+array grows with the window.  It is serial: mertens.sums cuts a pass into
+runs and gives each run its own stream, in one process or in a pool.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import deque
-from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -30,9 +27,6 @@ PIECE = 1 << 18
 MAX_SIEVE_BOUND = 1 << 40
 MAX_WORKERS = 64
 MAX_SEGMENT_SIZE = 1 << 24
-# Integers a pool holds sieved at most, whatever n: 4 MiB of packed flags
-# (a task is never smaller than one window).
-POOL_INTEGERS_IN_FLIGHT = 1 << 26
 
 _TWO = np.array([2], dtype=np.int64)
 
@@ -41,7 +35,7 @@ class SieveLimitError(RuntimeError):
     """Raised when a request exceeds the sieve maximum or a resource ceiling."""
 
 
-def _check_request(n: int, segment_size: int, workers: int) -> None:
+def _check_request(n: int, segment_size: int, workers: int = 1) -> None:
     if n < 0:
         raise ValueError(f"sieve bound must be non-negative, got {n}")
     if segment_size < 1:
@@ -69,11 +63,6 @@ def base_odd_primes(limit: int) -> np.ndarray:
     return 3 + 2 * np.flatnonzero(mask).astype(np.int64)
 
 
-def _segment_bounds(n: int, segment_size: int) -> list[tuple[int, int]]:
-    # Contiguous [lo, hi) windows covering the integers [3, n + 1).
-    return [(lo, min(lo + segment_size, n + 1)) for lo in range(3, n + 1, segment_size)]
-
-
 def _odd_mask(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     """Prime flags for the odd numbers in [lo, hi), lowest first.
 
@@ -93,74 +82,30 @@ def _odd_mask(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     return mask
 
 
-# Worker-process state for the parallel path (populated by the initializer).
-_POOL_BASE: np.ndarray | None = None
-
-
-def _pool_init(base_primes: np.ndarray) -> None:
-    global _POOL_BASE
-    _POOL_BASE = base_primes
-
-
-def _pool_sieve(task: list[tuple[int, int]]) -> list[tuple[int, int, int, bytes]]:
-    out = []
-    for lo, hi in task:
-        mask = _odd_mask(lo, hi, _POOL_BASE)
-        out.append((lo, hi, mask.shape[0], np.packbits(mask).tobytes()))
-    return out
-
-
-def _iter_odd_masks(
-    n: int, segment_size: int, workers: int
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    bounds = _segment_bounds(n, segment_size)
-    if not bounds:
-        return
-    base = base_odd_primes(math.isqrt(n))
-    if workers <= 1 or len(bounds) == 1:
-        for lo, hi in bounds:
-            yield lo, hi, _odd_mask(lo, hi, base)
-        return
-    procs = min(workers, len(bounds))
-    depth = 2 * procs  # tasks in flight
-    in_flight = POOL_INTEGERS_IN_FLIGHT // (depth * segment_size)  # windows per task
-    size = max(1, min(len(bounds) // (procs * 4), in_flight))
-    tasks = (bounds[i : i + size] for i in range(0, len(bounds), size))
-    import multiprocessing  # here, not at the top: a single-process run never needs it
-
-    with multiprocessing.Pool(procs, initializer=_pool_init, initargs=(base,)) as pool:
-        # Tasks are taken in submission order, so windows arrive ascending; one
-        # is submitted per task taken, so a slow consumer buffers depth tasks.
-        pending = deque(pool.apply_async(_pool_sieve, (t,)) for t in islice(tasks, depth))
-        while pending:
-            done = pending.popleft().get()
-            pending.extend(pool.apply_async(_pool_sieve, (t,)) for t in islice(tasks, 1))
-            for lo, hi, count, packed in done:
-                buf = np.frombuffer(packed, dtype=np.uint8)
-                yield lo, hi, np.unpackbits(buf, count=count).view(bool)
-
-
 def iter_prime_arrays(
-    n: int,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
+    n: int, segment_size: int = DEFAULT_SEGMENT_SIZE, start: int = 0, base: np.ndarray | None = None
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """Yield (lo, hi, primes) with primes ascending and coverage contiguous.
 
     Each tuple asserts "every prime in [lo, hi) is in this array"; the union
-    of coverages is [0, n + 1), so checkpoint consumers can finalize a point
-    x as soon as a window with hi > x has been consumed.  Each sieve window
-    comes as pieces [lo, hi) of at most PIECE integers.
+    of coverages is [start, n + 1), so a consumer can finalize a point x as
+    soon as a piece with hi > x has been consumed.  Windows of segment_size
+    from max(start, 3) come as pieces of at most PIECE integers.  base holds
+    the odd primes <= sqrt(n) ascending (more are ignored); None sieves them.
     """
-    _check_request(n, segment_size, workers)
-    if n >= 2:
-        yield 0, 3, _TWO
-    for lo, hi, mask in _iter_odd_masks(n, segment_size, workers):
+    _check_request(n, segment_size)
+    if start < min(3, n + 1):
+        yield start, min(3, n + 1), _TWO[: int(n >= 2)]
+    if base is None:
+        base = base_odd_primes(math.isqrt(n))
+    for lo in range(max(start, 3), n + 1, segment_size):
+        hi = min(lo + segment_size, n + 1)
+        mask = _odd_mask(lo, hi, base)
         # PIECE is even, so every piece starts at the parity of lo, and its
         # first odd number is flag (piece_lo - lo) / 2.
         for piece_lo in range(lo, hi, PIECE):
-            start = (piece_lo - lo) // 2
-            primes = np.flatnonzero(mask[start : start + PIECE // 2])
+            offset = (piece_lo - lo) // 2
+            primes = np.flatnonzero(mask[offset : offset + PIECE // 2])
             primes *= 2
             primes += piece_lo | 1
             yield piece_lo, min(piece_lo + PIECE, hi), primes
@@ -173,7 +118,7 @@ def iter_checkpoint_events(
     """Interleave ("terms", subarray) and ("checkpoint", x) events in order.
 
     A checkpoint event for x is emitted exactly once, after every prime <= x
-    has appeared in a terms event.  Points must be strictly ascending.
+    has appeared in a terms event.  Points ascend strictly, inside the coverage.
     """
     k = 0
     for lo, hi, arr in arrays:
@@ -188,9 +133,6 @@ def iter_checkpoint_events(
         k = j
         if start < len(arr):
             yield "terms", arr[start:]
-    while k < len(points):  # bounds below the first window (n < 2)
-        yield "checkpoint", points[k]
-        k += 1
 
 
 def primes_array(n: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:

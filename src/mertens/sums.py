@@ -7,9 +7,12 @@ Every checkpoint value is the correctly rounded sum of the binary64 terms up
 to it.  prefix_limbs holds running sums exactly as integer limbs on one fixed
 binary grid and reads every cut of a row from them in a few vector steps;
 round_limbs rounds all the cuts at once.  This is the package's one route to
-a correctly rounded sum (the scans in identities use it too), and the values
-depend only on which terms were added, never on how the sieve windows were
-sized or which worker produced them.
+a correctly rounded sum (the scans in identities use it too).
+
+accumulate_checkpoints cuts its pass into runs, each sieved and summed from
+zero in this process or in a pool, and adds the runs' limbs in order; so the
+values depend only on which terms were added, never on how the runs and
+windows were sized or which worker summed them.
 
 Checkpoints come back as columns: one numpy array per quantity, indexed
 like the requested points; a caller that reads only some of the sums asks
@@ -19,11 +22,15 @@ for those alone, and the others are never computed.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+import os
+from collections import deque
+from itertools import islice, starmap
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .sieve import DEFAULT_SEGMENT_SIZE, iter_prime_arrays, _validate_points
+from .sieve import DEFAULT_SEGMENT_SIZE, _check_request, _validate_points
+from .sieve import base_odd_primes, iter_prime_arrays
 
 
 LIMB_BITS = 30
@@ -32,10 +39,13 @@ _LIMB_MASK = (1 << LIMB_BITS) - 1
 # prefix_limbs' grid: limb j has unit 2**(-LIMB_BITS * j), so six limbs reach
 # 2**-150; the lowest bit of 1/p**2 below the sieve cap 2**40 is 2**-132.
 GRID_LIMBS = 6
-# accumulate_checkpoints reads at most this many checkpoints per prefix_limbs
-# call, so its limb arrays stay small whatever the number of points (at 2**12,
-# verify --n-max 1e7 peaked up to 0.7 MB higher: freed heap kept by malloc).
-BLOCK = 1 << 11
+# A run holds at most RUN_POINTS checkpoints, so its limbs stay small (on verify
+# --n-max 1e7's points, 2**11 ran slower, 2**13 faulted 2-4x the pages and 2**14
+# peaked 9 MB higher), and a 1 / (RUNS_PER_WORKER W) share of the integers for W
+# workers, but never fewer than RUN_INTEGERS unless its points or the pass end it.
+RUN_POINTS = 1 << 12
+RUNS_PER_WORKER = 4
+RUN_INTEGERS = 1 << 20
 SUMS = ("s", "a", "q", "l")
 
 
@@ -138,6 +148,11 @@ def prefix_limbs(
     np.cumsum(limbs, axis=2, out=limbs)
     if carry is not None:
         limbs += carry
+    return _normalize(limbs)
+
+
+def _normalize(limbs: np.ndarray) -> np.ndarray:
+    """limbs, each below the first carried into the one above in place; a sum past 2**30 raises."""
     for j in range(GRID_LIMBS - 1, 0, -1):
         limbs[j - 1] += limbs[j] >> LIMB_BITS
         limbs[j] &= _LIMB_MASK
@@ -191,6 +206,59 @@ def _term_arrays(values: np.ndarray, sums: Sequence[str] = SUMS) -> list[np.ndar
     return [terms[key]() for key in sums]
 
 
+def _sum_run(start: int, stop: int, points: np.ndarray, segment_size: int, sums, base):
+    """The integers [start, stop), sieved with the odd primes base and summed from zero.
+
+    Returns the run's prime count; the count of its primes <= x at each x of
+    points, the run's checkpoints, ascending; the normalized limbs of sums at
+    the d distinct values of that count, shape (GRID_LIMBS, len(sums), d);
+    and those at the run's end.
+    """
+    pi = np.empty(len(points), dtype=np.int64)
+    limbs = np.empty((GRID_LIMBS, len(sums), len(points)), dtype=np.int64)
+    total = np.zeros((GRID_LIMBS, len(sums), 1), dtype=np.int64)
+    count = k = d = 0
+    for _, hi, arr in iter_prime_arrays(stop - 1, segment_size, start, base):
+        j = int(np.searchsorted(points, hi))
+        pi[k:j] = count + np.searchsorted(arr, points[k:j], side="right")
+        # Points with one value of pi share a column, even across pieces.
+        new = pi[k:j][np.diff(pi[k:j], prepend=pi[k - 1] if k else -1) > 0]
+        out = prefix_limbs(_term_arrays(arr, sums), np.append(new - count, len(arr)), total)
+        limbs[:, :, d : d + len(new)] = out[:, :, :-1]
+        total = out[:, :, -1:]
+        count, k, d = count + len(arr), j, d + len(new)
+    return count, pi, limbs[:, :, :d], total
+
+
+def _runs(xs: np.ndarray, integers: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(start, stop, xs in [start, stop)) cutting [0, xs[-1]], at most integers and RUN_POINTS."""
+    start = k = 0
+    while start <= xs[-1]:
+        stop = min(start + integers, int(xs[-1]) + 1)
+        j = int(np.searchsorted(xs, stop))
+        if j - k > RUN_POINTS:
+            j, stop = k + RUN_POINTS, int(xs[k + RUN_POINTS])
+        yield start, stop, xs[k:j]
+        start, k = stop, j
+
+
+def _pooled(fn: Callable, tasks: Iterable[tuple], procs: int) -> Iterator:
+    """fn(*task) for each task in order, from procs processes with at most 2 procs tasks in flight.
+
+    The workers never call BLAS: each sets OPENBLAS_NUM_THREADS=1 for itself
+    before it loads numpy, so numpy's OpenBLAS starts on one thread there.
+    """
+    import multiprocessing  # here, not at the top: a single-process run never needs it
+
+    tasks = iter(tasks)
+    with multiprocessing.Pool(procs, os.putenv, ("OPENBLAS_NUM_THREADS", "1")) as pool:
+        pending = deque(pool.apply_async(fn, t) for t in islice(tasks, 2 * procs))
+        while pending:
+            done = pending.popleft().get()
+            pending.extend(pool.apply_async(fn, t) for t in islice(tasks, 1))
+            yield done
+
+
 def accumulate_checkpoints(
     n_max: int,
     points: Sequence[int],
@@ -205,10 +273,6 @@ def accumulate_checkpoints(
     taken at points[i].  Points must be strictly ascending with
     points[-1] <= n_max.  The columns are bit-identical for any segment
     size, worker count and selection of sums.
-
-    Each sieve piece's term rows are summed once by prefix_limbs, at the
-    piece's distinct checkpoint cuts and its end, in blocks of at most BLOCK
-    cuts; the limbs at the end of a block carry into the next.
     """
     keys = [key for key in SUMS if key in sums]
     if not sums or len(keys) < len(set(sums)):
@@ -216,31 +280,24 @@ def accumulate_checkpoints(
     xs = _validate_points(points)
     if xs[-1] > n_max:
         raise ValueError(f"last checkpoint {xs[-1]} exceeds n_max {n_max}")
-    pi = np.zeros(len(xs), dtype=np.int64)
-    columns = np.zeros((len(keys), len(xs)))
+    last = int(xs[-1])
+    _check_request(last, segment_size, workers)
+    base = base_odd_primes(math.isqrt(last))
+    integers = max(RUN_INTEGERS, -(-(last + 1) // (RUNS_PER_WORKER * workers)))
+    tasks = [(*run, segment_size, keys, base) for run in _runs(xs, integers)]
+    procs = min(workers, len(tasks))
+    results = _pooled(_sum_run, tasks, procs) if procs > 1 else starmap(_sum_run, tasks)
+    pi = np.empty(len(xs), dtype=np.int64)
+    columns = np.empty((len(keys), len(xs)))
     carry = np.zeros((GRID_LIMBS, len(keys), 1), dtype=np.int64)
     count = k = 0
-    for _, hi, arr in iter_prime_arrays(int(xs[-1]), segment_size, workers):
-        j = int(np.searchsorted(xs, hi))
-        cuts = np.searchsorted(arr, xs[k:j], side="right")
-        pi[k:j] = count + cuts
-        terms = _term_arrays(arr, keys)
-        # Points with one value of pi share a cut: each distinct cut is summed once.
-        distinct, which = np.unique(cuts, return_inverse=True)
-        ends = np.append(distinct, len(arr))
-        at_cut = np.empty((len(keys), len(distinct)))
-        base = 0
-        for b in range(0, len(ends), BLOCK):
-            block = ends[b : b + BLOCK]
-            limbs = prefix_limbs([t[base : block[-1]] for t in terms], block - base, carry)
-            out = at_cut[:, b : b + BLOCK]
-            if out.shape[1]:
-                out[...] = round_limbs(limbs[:, :, : out.shape[1]])
-            carry[...] = limbs[:, :, -1:]
-            base = block[-1]
-        columns[:, k:j] = at_cut[:, which]
-        count += len(arr)
-        k = j
+    for run_count, run_pi, limbs, total in results:
+        j = k + len(run_pi)
+        pi[k:j] = count + run_pi
+        which = np.cumsum(np.diff(run_pi, prepend=-1) > 0) - 1  # each point's column
+        columns[:, k:j] = round_limbs(_normalize(limbs + carry))[:, which]
+        carry = _normalize(total + carry)
+        count, k = count + run_count, j
     return {"x": xs, "pi": pi, **dict(zip(keys, columns))}
 
 

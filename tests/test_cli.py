@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 import mertens
 import mertens.cli
 import mertens.sieve
+import mertens.sums
 from mertens import __version__
 from mertens.bounds import envelope_halfwidth, estimate_mertens_B, extrapolate_sum
 from mertens.cli import main
@@ -81,11 +83,12 @@ def test_table_out_file_matches_stdout(tmp_path, capsys):
     assert path.read_text(encoding="utf-8") == out
 
 
-def test_table_bytes_stable_across_segmentation_and_workers(tmp_path, capsys):
+def test_table_bytes_stable_across_segmentation_and_workers(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(mertens.sums, "RUN_INTEGERS", 16384)
     blobs = set()
     for segment_size, workers in [
         ("16384", "1"),
-        ("16384", "2"),  # seven segments, so the pool really starts
+        ("16384", "2"),  # seven runs, so the pool really starts
         ("1048576", "1"),
     ]:
         path = tmp_path / f"t{segment_size}_{workers}.json"
@@ -149,9 +152,13 @@ def test_resource_exhaustion_exit_3(capsys):
     assert "exceeds" in err
 
 
-def test_resource_ceilings_exit_3(capsys):
-    # --n-max 1e4 is a single segment, so no pool starts and almost nothing is
+def test_resource_ceilings_exit_3(monkeypatch, capsys):
+    # --n-max 1e4 is a single run, so no pool starts and almost nothing is
     # allocated even if a ceiling were not enforced.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single run started a pool")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     too_many = str(MAX_WORKERS + 1)
     too_big = str(MAX_SEGMENT_SIZE + 1)
     for argv in (
@@ -288,17 +295,18 @@ def test_verify_rejects_small_n_max(capsys):
 
 
 def test_verify_at_1e5_passes(monkeypatch, capsys):
-    sieves = []
-    odd_masks = mertens.sieve._iter_odd_masks
+    sieved = [0] * 100_001  # times each integer was sieved
+    prime_arrays = mertens.sieve.iter_prime_arrays
 
-    def counted(*args):
-        sieves.append(args)
-        return odd_masks(*args)
+    def counted(n, segment_size, start=0, base=None):
+        sieved[start : n + 1] = [k + 1 for k in sieved[start : n + 1]]
+        return prime_arrays(n, segment_size, start, base)
 
-    monkeypatch.setattr(mertens.sieve, "_iter_odd_masks", counted)
+    monkeypatch.setattr(mertens.sieve, "iter_prime_arrays", counted)
+    monkeypatch.setattr(mertens.sums, "iter_prime_arrays", counted)
     code, out, _ = run_cli(["verify", "--n-max", "100000"], capsys)
     assert code == 0
-    assert len(sieves) == 2, sieves  # the prime array, then the accumulate pass
+    assert set(sieved) == {2}  # once for the prime array, once for the accumulate pass
     lines = out.splitlines()
     assert [line.split()[1] for line in lines[:-1]] == [
         "log_one_minus_bound",
@@ -337,8 +345,8 @@ def test_cli_as_a_process():
             [sys.executable, "-m", "mertens.cli", *argv], capture_output=True, env=env
         )
 
-    # Seven segments, so --workers 2 runs the sieve pool.
-    table = ["table", "--n-max", "1e5", "--format", "csv", "--segment-size", "16384"]
+    # A pass to 3e6 is three runs, so --workers 2 starts the pool.
+    table = ["table", "--n-max", "3e6", "--checkpoints", "10,1000,3000000", "--format", "csv"]
     csv = [run(*table, "--workers", w) for w in ("1", "2")]
     assert [r.returncode for r in csv] == [0, 0]
     assert csv[0].stdout == csv[1].stdout
@@ -391,3 +399,23 @@ def test_cli_starts_openblas_on_one_thread_unless_told_otherwise():
     if threads != "no-proc":
         assert threads == "1"
     assert run_python(code, OPENBLAS_NUM_THREADS="2")[0] == "2"
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_pool_workers_start_openblas_on_one_thread(method):
+    # A library caller that leaves the variable unset: its own environment
+    # stays as it was, and a worker that has loaded numpy holds one thread.
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    code = (
+        "import multiprocessing, os\n"
+        "from mertens import sums\n"
+        f"multiprocessing.set_start_method({method!r})\n"
+        "tasks = '/proc/self/task'\n"
+        "probe = \"__import__('numpy') and len(__import__('os').listdir(%r))\" % tasks\n"
+        "print(*(sums._pooled(eval, [(probe,)] * 3, 1) if os.path.isdir(tasks) else ['no-proc']))\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    )
+    *threads, value = run_python(code)
+    assert value == "None"
+    assert threads in (["1", "1", "1"], ["no-proc"])

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from mertens import sieve
+from mertens import sieve, sums
 from mertens.sieve import (
     DEFAULT_SEGMENT_SIZE,
     MAX_SIEVE_BOUND,
@@ -105,62 +105,78 @@ def test_segment_boundaries_against_trial_division():
             assert flags[n] == trial_is_prime(n), n
 
 
-def test_worker_count_does_not_change_stream():
-    serial = primes_array(3 * 10**5)
-    parallel = np.concatenate(
-        [arr for _, _, arr in iter_prime_arrays(3 * 10**5, 1 << 16, workers=3)]
-    )
-    assert np.array_equal(serial, parallel)
+def test_worker_count_does_not_change_stream(monkeypatch):
+    # Runs stream on from where the last one ended, whatever their length, so
+    # together they give the one stream; the columns, for any worker count.
+    n = 3 * 10**5
+    starts = [0, 1, 2, 3, 4, 1000, 65537, n + 1]
+    arrays = [
+        piece
+        for start, stop in zip(starts, starts[1:])
+        for piece in iter_prime_arrays(stop - 1, 1 << 16, start)
+    ]
+    assert [lo for lo, _, _ in arrays] == [0, *(hi for _, hi, _ in arrays[:-1])]
+    assert arrays[-1][1] == n + 1
+    assert np.array_equal(np.concatenate([arr for _, _, arr in arrays]), primes_array(n))
+    monkeypatch.setattr(sums, "RUN_INTEGERS", 1 << 16)  # several runs, so the pool starts
+    points = [2, 1000, 65536, 65537, 10**5, n]
+    serial = accumulate_checkpoints(n, points, 1 << 16, workers=1)
+    for key, col in accumulate_checkpoints(n, points, 1 << 16, workers=3).items():
+        assert col.tobytes() == serial[key].tobytes(), key
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
 def test_pool_under_each_start_method_gives_the_serial_stream(monkeypatch, method):
-    # Workers that start from a fresh interpreter get the base primes from the
-    # pool initializer alone, and windows must still arrive ascending.
+    # Workers that start from a fresh interpreter get everything from their
+    # tasks, and the runs must still be added in order.
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"no {method} start method on this platform")
     monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(method).Pool)
-    serial, pooled = (
-        [(lo, hi, arr.tolist()) for lo, hi, arr in iter_prime_arrays(200_000, 1 << 14, w)]
-        for w in (1, 2)
-    )
-    assert pooled == serial
+    monkeypatch.setattr(sums, "RUN_INTEGERS", 1 << 16)
+    points = [10, 4097, 65536, 65537, 150_001, 200_000]
+    serial, pooled = (accumulate_checkpoints(200_000, points, 1 << 14, w) for w in (1, 2))
+    for key, col in serial.items():
+        assert col.tobytes() == pooled[key].tobytes(), key
 
 
 def test_pool_window_smaller_than_task_count(monkeypatch):
-    # 25 windows in tasks of 2, at most 4 tasks in flight: the window slides.
-    monkeypatch.setattr(sieve, "POOL_INTEGERS_IN_FLIGHT", 8 * 4096)
+    # 25 runs of 4096 integers, at most 4 in flight: the window slides.
+    monkeypatch.setattr(sums, "RUN_INTEGERS", 4096)
+    monkeypatch.setattr(sums, "RUNS_PER_WORKER", 1 << 40)
     points = [10, 997, 4096, 4097, 65536, 10**5]
+    assert len(list(sums._runs(np.array(points), 4096))) == 25
     serial = accumulate_checkpoints(10**5, points, segment_size=4096, workers=1)
     pooled = accumulate_checkpoints(10**5, points, segment_size=4096, workers=2)
     for key, col in serial.items():
         assert col.tobytes() == pooled[key].tobytes()
-    arrays = list(iter_prime_arrays(10**5, 4096, workers=2))
-    assert [hi for _, hi, _ in arrays[:-1]] == [lo for lo, _, _ in arrays[1:]]
-    assert np.array_equal(np.concatenate([arr for _, _, arr in arrays]), primes_array(10**5))
+    assert list(sums._pooled(pow, [(k, 2) for k in range(25)], 2)) == [k * k for k in range(25)]
 
 
 def test_windows_come_in_bounded_pieces():
     # Windows below, at and above PIECE, one odd-sized (its pieces start on
-    # even integers), and one covering all of n.
+    # even integers), and one covering all of n; and a stream that starts at
+    # an even integer past 3.
     n = 3 * 10**6
     sizes = (4096, 1 << 18, 1 << 20, (1 << 20) + 7, 1 << 22)
-    configs = [(size, workers) for workers in (1, 2) for size in sizes]
-    streams = {c: list(iter_prime_arrays(n, *c)) for c in configs}
+    streams = {(size, 0): list(iter_prime_arrays(n, size)) for size in sizes}
+    streams[(1 << 20, 1000)] = list(iter_prime_arrays(n, 1 << 20, 1000))
     edges = set()
-    for (segment_size, _), arrays in streams.items():
-        assert arrays[0][0] == 0 and arrays[-1][1] == n + 1
+    for (segment_size, start), arrays in streams.items():
+        assert arrays[0][0] == start and arrays[-1][1] == n + 1
         assert [hi for _, hi, _ in arrays[:-1]] == [lo for lo, _, _ in arrays[1:]]
         assert all(0 < hi - lo <= sieve.PIECE for lo, hi, _ in arrays)
         assert all(lo <= arr.min(initial=lo) <= arr.max(initial=lo) < hi for lo, hi, arr in arrays)
-        windows = {3 + segment_size * k for k in range((n - 3) // segment_size + 1)}
+        first = max(start, 3)
+        windows = {first + segment_size * k for k in range((n - first) // segment_size + 1)}
         assert windows <= {lo for lo, _, _ in arrays}  # a window edge is a piece edge
         edges |= {lo for lo, _, _ in arrays}
     want = primes_array(n, segment_size=4096)
-    for arrays in streams.values():
-        assert np.array_equal(np.concatenate([arr for _, _, arr in arrays]), want)
+    for (_, start), arrays in streams.items():
+        got = np.concatenate([arr for _, _, arr in arrays])
+        assert np.array_equal(got, want[np.searchsorted(want, start) :])
     points = sorted({x + d for x in edges for d in (-1, 0, 1)} & set(range(n + 1)))
     ref = accumulate_checkpoints(n, points, 4096, 1)
+    configs = [(size, workers) for workers in (1, 2) for size in sizes]
     for segment_size, workers in configs[1:]:
         cols = accumulate_checkpoints(n, points, segment_size, workers)
         for key, col in ref.items():
@@ -182,7 +198,9 @@ def test_stream_parameter_validation():
     with pytest.raises(ValueError):
         primes_array(100, segment_size=0)
     with pytest.raises(ValueError):
-        next(iter_prime_arrays(100, workers=0))
+        next(iter_prime_arrays(-1))
+    with pytest.raises(ValueError):
+        accumulate_checkpoints(100, [10], workers=0)
 
 
 def test_sieve_cap_is_enforced():
@@ -195,11 +213,14 @@ def test_sieve_cap_is_enforced():
 
 
 def test_prime_stream_carries_configuration():
-    arrays = list(iter_prime_arrays(50, segment_size=8, workers=1))
-    assert arrays[-1][1] == 51  # coverage ends just past the bound
-    assert np.concatenate([arr for _, _, arr in arrays]).tolist() == [
-        n for n in range(2, 51) if trial_is_prime(n)
-    ]
+    for start in (0, 1, 2, 3, 20):
+        arrays = list(iter_prime_arrays(50, segment_size=8, start=start))
+        assert (arrays[0][0], arrays[-1][1]) == (start, 51)  # coverage [start, bound + 1)
+        assert np.concatenate([arr for _, _, arr in arrays]).tolist() == [
+            n for n in range(max(start, 2), 51) if trial_is_prime(n)
+        ]
+        assert all(hi - lo <= 8 for lo, hi, _ in arrays[1:])
+    assert [(lo, hi, arr.tolist()) for lo, hi, arr in iter_prime_arrays(1)] == [(0, 2, [])]
 
 
 def odd_mask_reference(lo, hi, base_primes):

@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mertens import sieve
+from mertens import sieve, sums
 from mertens.bounds import L_CAP, Q_CAP
 from mertens.sieve import primes_array
 from mertens.sums import (
-    BLOCK,
     GRID_LIMBS,
     LIMB_BITS,
+    RUN_POINTS,
     SUMS,
     CompensatedAccumulator,
     _term_arrays,
@@ -181,12 +181,12 @@ def test_long_add_array_property(arr):
     assert_add_array_exact(arr, START_PARTS)
 
 
-def reference_columns(n_max, points, segment_size=sieve.DEFAULT_SEGMENT_SIZE, workers=1):
+def reference_columns(n_max, points, segment_size=sieve.DEFAULT_SEGMENT_SIZE):
     """Checkpoint columns from the per-event loop: one add_array per sum and terms event."""
     accs = [CompensatedAccumulator() for _ in range(4)]
     pi, rows = [], []
     count = 0
-    arrays = sieve.iter_prime_arrays(n_max, segment_size, workers)
+    arrays = sieve.iter_prime_arrays(n_max, segment_size)
     for kind, payload in sieve.iter_checkpoint_events(arrays, points):
         if kind == "terms":
             for acc, terms in zip(accs, _term_arrays(payload)):
@@ -201,7 +201,7 @@ def reference_columns(n_max, points, segment_size=sieve.DEFAULT_SEGMENT_SIZE, wo
 
 def assert_columns_match_reference(n_max, points, segment_size=sieve.DEFAULT_SEGMENT_SIZE, workers=1):
     cols = accumulate_checkpoints(n_max, points, segment_size, workers)
-    reference = reference_columns(n_max, points, segment_size, workers)
+    reference = reference_columns(n_max, points, segment_size)
     assert cols.keys() == reference.keys()
     for key, col in cols.items():
         assert col.dtype == reference[key].dtype, key
@@ -268,22 +268,22 @@ def test_prefix_limbs_refuse_what_the_grid_cannot_hold():
             prefix_limbs([np.array(row) for row in rows], np.array([len(rows[0])]))
 
 
-def test_checkpoints_carry_across_block_edges():
-    # One segment holding BLOCK - 1, BLOCK and BLOCK + 1 checkpoints, each a
-    # prime so that no two share a cut: its end is one more cut, so the cuts
-    # fill one block exactly, or spill 1 or 2 into a second; later segments
-    # take the carry.
-    primes = primes_array(1 << 15).tolist()
-    for count in (BLOCK - 1, BLOCK, BLOCK + 1):
-        points = primes[1 : 1 + count] + [3 << 15, (5 << 15) + 7]
+def test_checkpoints_carry_across_run_edges():
+    # RUN_POINTS - 1, RUN_POINTS and RUN_POINTS + 1 checkpoints at primes, so
+    # that no two share a value of pi, and two more: they fill one run to its
+    # point limit, or spill 1, 2 or 3 into a second; later runs take the carry.
+    primes = primes_array(1 << 16).tolist()
+    for count in (RUN_POINTS - 1, RUN_POINTS, RUN_POINTS + 1):
+        points = primes[1 : 1 + count] + [3 << 16, (5 << 16) + 7]
         assert_columns_match_reference(points[-1], points, segment_size=1 << 15)
 
 
 def test_points_sharing_pi_take_their_columns_from_one_cut():
     # Runs of points in one prime gap (1328..1360 and 31398..31468 each share
     # one value of pi), one run crossing window edges at the smaller sizes,
-    # and 3 * BLOCK consecutive points that take only ~700 values of pi.
-    points = [*range(2, 40), *range(1328, 1361), *range(5000, 5000 + 3 * BLOCK)]
+    # and 3 * RUN_POINTS consecutive points that take only ~1,300 values of
+    # pi, across run edges.
+    points = [*range(2, 40), *range(1328, 1361), *range(5000, 5000 + 3 * RUN_POINTS)]
     points += range(31398, 31469)
     for segment_size in (64, 4096, 1 << 20):
         assert_columns_match_reference(points[-1], points, segment_size)
@@ -309,6 +309,32 @@ def test_checkpoints_in_gaps_repeats_and_below_two():
 def test_checkpoint_columns_match_the_per_event_loop(points, segment_size, workers):
     points = sorted(points)
     assert_columns_match_reference(points[-1], points, segment_size, workers)
+
+
+def test_tiny_runs_give_the_default_columns(monkeypatch):
+    # Runs of one point or of 64 integers: the first four start at 0, 1, 2
+    # and 3; some hold no point (between 1000 and 3000), some no prime (those
+    # in the gaps 24..28 and 1328..1360), and one neither: 31334 ends a run
+    # and starts one of 64 integers, so the next, [31398, 31462), lies in
+    # the gap 31398..31468.
+    points = [0, 1, 2, 3, 5, *range(24, 30), 1000, *range(1327, 1362), 3000, 31333, 31334]
+    points += [31500]
+    reference = accumulate_checkpoints(points[-1], points)  # one run
+    monkeypatch.setattr(sums, "RUN_POINTS", 1)
+    monkeypatch.setattr(sums, "RUN_INTEGERS", 64)
+    monkeypatch.setattr(sums, "RUNS_PER_WORKER", 1 << 40)
+    runs = list(sums._runs(np.array(points), 64))
+    assert [start for start, _, _ in runs[:4]] == [0, 1, 2, 3]
+    assert all(len(pts) <= 1 and 0 < stop - start <= 64 for start, stop, pts in runs)
+    assert any(len(pts) == 0 for _, _, pts in runs)
+    primes = primes_array(points[-1])
+    idle = [pts for start, stop, pts in runs if not np.any((primes >= start) & (primes < stop))]
+    assert any(len(pts) for pts in idle) and any(len(pts) == 0 for pts in idle)
+    for segment_size in (32, 64, 1 << 20):
+        for workers in (1, 2, 3):
+            cols = accumulate_checkpoints(points[-1], points, segment_size, workers)
+            for key, col in reference.items():
+                assert col.tobytes() == cols[key].tobytes(), (segment_size, workers, key)
 
 
 def test_sums_selects_columns_and_leaves_them_unchanged():
@@ -375,10 +401,11 @@ def test_all_four_sums_within_1e11_of_oracles_at_1e5():
         assert abs(row["l"] - l) < 1e-11
 
 
-def test_rows_bit_identical_for_any_segmentation_and_workers():
+def test_rows_bit_identical_for_any_segmentation_and_workers(monkeypatch):
     points = decades_up_to(10**5) + [10**5 + 3]
     points = sorted(set(points))
     reference = accumulate_checkpoints(10**5 + 3, points)
+    monkeypatch.setattr(sums, "RUN_INTEGERS", 1 << 14)  # several runs, so the pool starts
     for segment_size in (1024, 4096, 1 << 18, 1 << 20):
         for workers in (1, 3):
             cols = accumulate_checkpoints(
