@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import decimal
 import json
 import math
 import os
@@ -39,17 +40,16 @@ ABEL_RANDOM_CASES = 1000
 
 
 def _count(text: str) -> int:
-    """Integer flag value; scientific notation like 1e9 is accepted."""
+    """Integer flag value, read exactly; scientific notation like 1e9 is accepted.
+
+    More than 4,300 digits (int()'s limit on digit strings) is refused unbuilt.
+    """
     try:
-        return int(text, 10)
-    except ValueError:
-        pass
-    try:
-        value = float(text)
-    except ValueError:
+        value = decimal.Decimal(text)
+    except decimal.InvalidOperation:
         raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}") from None
-    if not value.is_integer() or abs(value) > 2**53:
-        raise argparse.ArgumentTypeError(f"expects an exact integer, got {text!r}")
+    if not value.is_finite() or value.adjusted() >= 4300 or value != value.to_integral_value():
+        raise argparse.ArgumentTypeError(f"expects an exact integer below 1e4300, got {text!r}")
     return int(value)
 
 

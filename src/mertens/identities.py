@@ -112,13 +112,9 @@ def stieltjes_identity_check(x: int, primes: np.ndarray, s_lhs: float) -> Identi
 
 
 def stieltjes_grid(limit: int, primes: np.ndarray) -> list[int]:
-    """Scan grid: log-spaced thresholds plus p - 1, p and p + 1 for each p in primes."""
-    xs = set(log_spaced_integers(2, limit))
-    for p in primes.tolist():
-        for x in (p - 1, p, p + 1):
-            if 2 <= x <= limit:
-                xs.add(x)
-    return sorted(xs)
+    """Scan grid: log-spaced thresholds plus each p - 1, p and p + 1 of primes, in [2, limit]."""
+    xs = np.concatenate([log_spaced_integers(2, limit), primes - 1, primes, primes + 1])
+    return np.unique(xs[(2 <= xs) & (xs <= limit)]).tolist()
 
 
 def stieltjes_scan(
@@ -245,21 +241,17 @@ class EulerProductCheck:
     bracket_ok: bool
 
 
-def _smooth_values(primes: list[int], cutoff: int) -> list[int]:
-    # Every n-smooth value <= cutoff, generated by multiplying prime powers
-    # with non-decreasing factors; no integer is ever factored.
-    out = [1]
+def _smooth_values(primes: list[int], cutoff: int) -> np.ndarray:
+    """Every value <= cutoff with no prime factor outside primes, each once, unordered.
 
-    def extend(start: int, value: int) -> None:
-        for i in range(start, len(primes)):
-            nxt = value * primes[i]
-            if nxt > cutoff:
-                break
-            out.append(nxt)
-            extend(i, nxt)
-
-    extend(0, 1)
-    return out
+    Each prime p multiplies the values found so far by p, p^2, ... up to cutoff.
+    """
+    smooth = np.ones(1, dtype=np.int64)
+    for p in primes:
+        power = smooth
+        while len(power := power[power <= cutoff // p] * p):
+            smooth = np.concatenate([smooth, power])
+    return smooth
 
 
 def euler_product_check(n: int, cutoff: int, primes: np.ndarray) -> EulerProductCheck:
@@ -279,7 +271,8 @@ def euler_product_check(n: int, cutoff: int, primes: np.ndarray) -> EulerProduct
     for p in ps:
         product *= Fraction(p, p - 1)
     smooth = _smooth_values(ps, cutoff)
-    partial = math.fsum(1.0 / j for j in smooth)
-    partial_half = math.fsum(1.0 / j for j in smooth if j <= cutoff // 2)
+    inv = 1.0 / smooth  # fsum rounds correctly in any order
+    partial = math.fsum(inv.tolist())
+    partial_half = math.fsum(inv[smooth <= cutoff // 2].tolist())
     bracket_ok = Fraction(partial) < product and partial > partial_half
     return EulerProductCheck(product, partial, bracket_ok)

@@ -83,21 +83,19 @@ def _odd_mask(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
 
 
 def iter_prime_arrays(
-    n: int, segment_size: int = DEFAULT_SEGMENT_SIZE, start: int = 0, base: np.ndarray | None = None
+    n: int, segment_size: int = DEFAULT_SEGMENT_SIZE, start: int = 0
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """Yield (lo, hi, primes) with primes ascending and coverage contiguous.
 
     Each tuple asserts "every prime in [lo, hi) is in this array"; the union
     of coverages is [start, n + 1), so a consumer can finalize a point x as
     soon as a piece with hi > x has been consumed.  Windows of segment_size
-    from max(start, 3) come as pieces of at most PIECE integers.  base holds
-    the odd primes <= sqrt(n) ascending (more are ignored); None sieves them.
+    from max(start, 3) come as pieces of at most PIECE integers.
     """
     _check_request(n, segment_size)
     if start < min(3, n + 1):
         yield start, min(3, n + 1), _TWO[: int(n >= 2)]
-    if base is None:
-        base = base_odd_primes(math.isqrt(n))
+    base = base_odd_primes(math.isqrt(n))
     for lo in range(max(start, 3), n + 1, segment_size):
         hi = min(lo + segment_size, n + 1)
         mask = _odd_mask(lo, hi, base)

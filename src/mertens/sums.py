@@ -6,8 +6,9 @@ L(x) = sum ln(p)/(p^2 - p), each over primes p <= x.
 Every checkpoint value is the correctly rounded sum of the binary64 terms up
 to it.  prefix_limbs holds running sums exactly as integer limbs on one fixed
 binary grid and reads every cut of a row from them in a few vector steps;
-round_limbs rounds all the cuts at once.  This is the package's one route to
-a correctly rounded sum (the scans in identities use it too).
+round_limbs rounds all the cuts at once.  The scans in identities use them
+too; identities rounds its other sums (the Abel sides, the factorial right
+sides and the Euler partial sums) correctly with math.fsum.
 
 accumulate_checkpoints cuts its pass into runs, each sieved and summed from
 zero in this process or in a pool, and adds the runs' limbs in order; so the
@@ -29,8 +30,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .sieve import DEFAULT_SEGMENT_SIZE, _check_request, _validate_points
-from .sieve import base_odd_primes, iter_prime_arrays
+from .sieve import DEFAULT_SEGMENT_SIZE, _check_request, _validate_points, iter_prime_arrays
 
 
 LIMB_BITS = 30
@@ -206,8 +206,8 @@ def _term_arrays(values: np.ndarray, sums: Sequence[str] = SUMS) -> list[np.ndar
     return [terms[key]() for key in sums]
 
 
-def _sum_run(start: int, stop: int, points: np.ndarray, segment_size: int, sums, base):
-    """The integers [start, stop), sieved with the odd primes base and summed from zero.
+def _sum_run(start: int, stop: int, points: np.ndarray, segment_size: int, sums):
+    """The integers [start, stop), sieved and summed from zero.
 
     Returns the run's prime count; the count of its primes <= x at each x of
     points, the run's checkpoints, ascending; the normalized limbs of sums at
@@ -218,7 +218,7 @@ def _sum_run(start: int, stop: int, points: np.ndarray, segment_size: int, sums,
     limbs = np.empty((GRID_LIMBS, len(sums), len(points)), dtype=np.int64)
     total = np.zeros((GRID_LIMBS, len(sums), 1), dtype=np.int64)
     count = k = d = 0
-    for _, hi, arr in iter_prime_arrays(stop - 1, segment_size, start, base):
+    for _, hi, arr in iter_prime_arrays(stop - 1, segment_size, start):
         j = int(np.searchsorted(points, hi))
         pi[k:j] = count + np.searchsorted(arr, points[k:j], side="right")
         # Points with one value of pi share a column, even across pieces.
@@ -282,9 +282,8 @@ def accumulate_checkpoints(
         raise ValueError(f"last checkpoint {xs[-1]} exceeds n_max {n_max}")
     last = int(xs[-1])
     _check_request(last, segment_size, workers)
-    base = base_odd_primes(math.isqrt(last))
     integers = max(RUN_INTEGERS, -(-(last + 1) // (RUNS_PER_WORKER * workers)))
-    tasks = [(*run, segment_size, keys, base) for run in _runs(xs, integers)]
+    tasks = [(*run, segment_size, keys) for run in _runs(xs, integers)]
     procs = min(workers, len(tasks))
     results = _pooled(_sum_run, tasks, procs) if procs > 1 else starmap(_sum_run, tasks)
     pi = np.empty(len(xs), dtype=np.int64)

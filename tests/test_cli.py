@@ -133,11 +133,27 @@ def test_table_config_errors(capsys):
         ["verify", "--workers", "x"],
         ["extrapolate", "--log10-x", "zz"],
         ["table", "--checkpoints", "10,1e3.5"],
+        # integer flags must be finite, integral and at most 4,300 digits long
+        ["table", "--n-max", "1.5"],
+        ["table", "--n-max", "1e-3"],
+        ["table", "--n-max", "nan"],
+        ["verify", "--workers", "inf"],
+        ["table", "--n-max", "1e4300"],  # refused before the integer is built
+        ["table", "--n-max", "1e999999999999"],
     ]
     for argv in cases:
         code, _, err = run_cli(argv, capsys)
         assert code == 2, argv
         assert err.startswith("error:") or "usage" in err
+
+
+def test_integer_flags_are_read_exactly():
+    # Past 2**53 a float would round these; the flag keeps every digit.
+    assert mertens.cli._count("123456789012345678e2") == 12345678901234567800
+    assert mertens.cli._count("9007199254740993") == 2**53 + 1
+    assert mertens.cli._count("1.5e1") == 15
+    assert mertens.cli._count(" 1_000 ") == 1000
+    assert mertens.cli._count("1" + "0" * 4299) == 10**4299  # int()'s 4,300-digit limit
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -150,6 +166,19 @@ def test_resource_exhaustion_exit_3(capsys):
     code, _, err = run_cli(["table", "--n-max", "1e13"], capsys)
     assert code == 3
     assert "exceeds" in err
+    # Integer flags are read exactly, so the spelling of a value does not change the exit.
+    spelled = {}
+    for argv in (
+        ["table", "--n-max", "1e16"],
+        ["table", "--n-max", "10000000000000000"],
+        ["verify", "--n-max", "1e16"],
+        ["table", "--n-max", "1e4299"],  # 4,300 digits: parsed, then past the cap
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (3, ""), argv
+        assert "the sieve maximum" in err, argv
+        spelled[argv[2]] = err
+    assert spelled["1e16"] == spelled["10000000000000000"]
 
 
 def test_resource_ceilings_exit_3(monkeypatch, capsys):
@@ -167,6 +196,11 @@ def test_resource_ceilings_exit_3(monkeypatch, capsys):
         ["estimate-b", "--n-max", "1e4", "--workers", too_many],
         ["verify", "--n-max", "1e4", "--workers", too_many],
         ["verify", "--n-max", "1e4", "--segment-size", too_big],
+        # e-notation is read exactly, so a huge value reaches the same ceiling
+        ["table", "--n-max", "1e4", "--workers", "1e20"],
+        ["table", "--n-max", "1e4", "--workers", "100000000000000000000"],
+        ["table", "--n-max", "1e4", "--segment-size", "1e20"],
+        ["verify", "--n-max", "1e4", "--workers", "1e20"],
     ):
         code, out, err = run_cli(argv, capsys)
         assert code == 3, argv
@@ -298,9 +332,9 @@ def test_verify_at_1e5_passes(monkeypatch, capsys):
     sieved = [0] * 100_001  # times each integer was sieved
     prime_arrays = mertens.sieve.iter_prime_arrays
 
-    def counted(n, segment_size, start=0, base=None):
+    def counted(n, segment_size, start=0):
         sieved[start : n + 1] = [k + 1 for k in sieved[start : n + 1]]
-        return prime_arrays(n, segment_size, start, base)
+        return prime_arrays(n, segment_size, start)
 
     monkeypatch.setattr(mertens.sieve, "iter_prime_arrays", counted)
     monkeypatch.setattr(mertens.sums, "iter_prime_arrays", counted)
@@ -328,6 +362,15 @@ def test_verify_at_1e5_passes(monkeypatch, capsys):
         "mertens_b_estimate",
     ]
     assert "FAIL" not in {line.split()[0] for line in lines[:-1]}
+    # Neither line reads np.log, so both are the same bytes on every platform.
+    assert lines[2] == (
+        "PASS stieltjes_partial_integration          "
+        "points=4070 max_x=100000 worst_rel_diff=2.210e-16"
+    )
+    assert lines[5] == (
+        "PASS euler_product_bracketing               "
+        "n in (2, 3, 5, 7, 13, 31, 47) cutoff=2^20 worst_gap=2.907e-02"
+    )
     assert lines[-1] == "verify: n_max=100000 checks=17 failures=0 -> exit 0"
 
 

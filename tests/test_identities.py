@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mertens.bounds import log_spaced_integers
 from mertens.identities import (
     SequencePair,
+    _smooth_values,
     abel_identity_eval,
     euler_product_check,
     factorial_log_identity,
@@ -147,6 +149,29 @@ def test_stieltjes_small_grid():
     xs = stieltjes_grid(10**4, primes_array(10**3))
     results = stieltjes_scan(accumulate_checkpoints(xs[-1], xs), primes_array(xs[-1]))
     assert all(v.rel_diff <= 1e-12 for _, v in results)
+
+
+def stieltjes_grid_reference(limit, primes):
+    """The grid built one threshold at a time into a set."""
+    xs = set(log_spaced_integers(2, limit))
+    for p in primes.tolist():
+        xs.update(x for x in (p - 1, p, p + 1) if 2 <= x <= limit)
+    return sorted(xs)
+
+
+def test_stieltjes_grid_matches_the_set_construction():
+    empty = np.empty(0, dtype=np.int64)
+    for limit, primes in (
+        (10**5, primes_array(10**4)),  # verify's grid
+        (10**3, primes_array(10**4)),  # primes above limit
+        (100, empty),
+        (2, empty),
+        (2, primes_array(10)),
+        (3, primes_array(3)),
+    ):
+        grid = stieltjes_grid(limit, primes)
+        assert grid == stieltjes_grid_reference(limit, primes), limit
+        assert all(type(x) is int for x in grid)
 
 
 def test_stieltjes_domain_error():
@@ -305,6 +330,42 @@ def test_euler_product_partial_monotone_in_cutoff():
         assert chk.partial_smooth_sum < product
         previous = chk.partial_smooth_sum
     assert product == 3.75  # 2 * 3/2 * 5/4
+
+
+def test_smooth_values_match_trial_factoring():
+    for n in (2, 3, 5, 7, 13, 31, 47):
+        ps = primes_array(n).tolist()
+        for cutoff in (1, n, 1 << 10, 1 << 12):
+            want = []
+            for j in range(1, cutoff + 1):
+                rest = j
+                for p in ps:
+                    while rest % p == 0:
+                        rest //= p
+                if rest == 1:
+                    want.append(j)
+            got = _smooth_values(ps, cutoff).tolist()
+            assert len(got) == len(set(got)), (n, cutoff)  # no duplicates
+            assert sorted(got) == want, (n, cutoff)
+
+
+def test_euler_partial_sums_are_pinned_bitwise():
+    # verify's seven n at its cutoff 2**20; fsum rounds correctly in any order
+    # of the smooth values, so these bits depend on no summation order.
+    pinned = {
+        2: "0x1.fffff00000000p+0",
+        3: "0x1.7fff5abee1122p+1",
+        5: "0x1.dffc83a0d28c0p+1",
+        7: "0x1.17fa123b9a2c0p+2",
+        13: "0x1.4d8e859550095p+2",
+        31: "0x1.a1e4691fd597dp+2",
+        47: "0x1.cb8da2521b776p+2",
+    }
+    primes = primes_array(50)
+    for n, bits in pinned.items():
+        chk = euler_product_check(n, 1 << 20, primes)
+        assert chk.partial_smooth_sum.hex() == bits, n
+        assert chk.bracket_ok
 
 
 def test_euler_product_validation():
