@@ -26,7 +26,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__, bounds, identities
-from .sieve import DEFAULT_SEGMENT_SIZE, SieveLimitError, _check_request, primes_array
+from .sieve import SieveLimitError, _check_request, primes_array
 from .sums import accumulate_checkpoints, columns_at
 
 EXIT_OK = 0
@@ -70,9 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_sieve(sp: argparse.ArgumentParser, n_default: int) -> None:
         sp.add_argument("--n-max", type=_count, default=n_default, metavar="N")
-        sp.add_argument(
-            "--segment-size", type=_count, default=DEFAULT_SEGMENT_SIZE, metavar="K"
-        )
         sp.add_argument("--workers", type=_count, default=1, metavar="W")
 
     def add_output(sp: argparse.ArgumentParser) -> None:
@@ -131,9 +128,7 @@ def _run_table(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"--n-max {args.n_max} leaves the decades preset empty; pass --checkpoints"
             )
-    cols = accumulate_checkpoints(
-        args.n_max, pts, args.segment_size, args.workers, sums=("s", "a")
-    )
+    cols = accumulate_checkpoints(args.n_max, pts, workers=args.workers, sums=("s", "a"))
     rows = []
     for x, pi, s, a in zip(*(cols[k].tolist() for k in ("x", "pi", "s", "a"))):
         lnln = math.log(math.log(float(x)))
@@ -154,7 +149,7 @@ def _run_table(args: argparse.Namespace) -> int:
 
 def _run_estimate_b(args: argparse.Namespace) -> int:
     n_max = args.n_max
-    cols = accumulate_checkpoints(n_max, [n_max], args.segment_size, args.workers, sums=("s",))
+    cols = accumulate_checkpoints(n_max, [n_max], workers=args.workers, sums=("s",))
     b_hat = bounds.estimate_mertens_B(n_max, cols["s"].item())
     width = bounds.envelope_halfwidth(n_max)
     text = f"b_estimate({n_max}) = {b_hat:.15f} (within {width:.3e} of B)\n"
@@ -325,9 +320,6 @@ def _run_verify(args: argparse.Namespace) -> int:
         raise ValueError(
             f"verify needs --n-max >= {bounds.RS_MIN_N} (Rosser-Schoenfeld scan), got {n_max}"
         )
-    # The prime array is sieved before the accumulate pass, so refuse what the
-    # pass would refuse (sieve cap, worker and segment ceilings) before either.
-    _check_request(n_max, args.segment_size, args.workers)
     # One prime array and one accumulate pass serve every check; the checks
     # only read them. The binomial scan to 2000 reads the primes <= 4001.
     primes = primes_array(max(min(10**6, n_max), 4001))
@@ -341,8 +333,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     cols = accumulate_checkpoints(
         n_max,
         _union([n_max], rs_pts, euler_pts, cap_pts, stieltjes_pts, _decade_checkpoints(n_max)),
-        args.segment_size,
-        args.workers,
+        workers=args.workers,
     )
     results = [
         _check_log_bound_grid(),
@@ -394,6 +385,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         with _open_out(args) as args.out:
+            if args.command != "extrapolate":  # refuse what the sieve would, before any work
+                _check_request(args.n_max, args.workers)
             return COMMANDS[args.command](args)
     except SieveLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

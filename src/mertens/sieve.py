@@ -18,15 +18,16 @@ import numpy as np
 # Integers per sieve window; 512 KiB of odd flags.  A wider window crosses
 # off each base prime in fewer Python slices: at 2**21, table --n-max 1e8
 # ran ~6 % faster than at 2**20 but peaked ~1.4 MB higher (2-core VM).
-DEFAULT_SEGMENT_SIZE = 1 << 20
+# iter_prime_arrays reads it at each call, so a test may patch it; no output
+# depends on it.
+SEGMENT_SIZE = 1 << 20
 # iter_prime_arrays yields a window's primes in pieces of at most PIECE
 # integers, so term rows and limb buffers downstream stay this size.
 PIECE = 1 << 18
-# Resource ceilings: the largest sieve bound; each worker is one process, and
-# a window holds segment_size / 2 flags per worker.
+# Resource ceilings: the largest sieve bound; each worker is one process,
+# holding one window of SEGMENT_SIZE / 2 flags.
 MAX_SIEVE_BOUND = 1 << 40
 MAX_WORKERS = 64
-MAX_SEGMENT_SIZE = 1 << 24
 
 _TWO = np.array([2], dtype=np.int64)
 
@@ -35,17 +36,11 @@ class SieveLimitError(RuntimeError):
     """Raised when a request exceeds the sieve maximum or a resource ceiling."""
 
 
-def _check_request(n: int, segment_size: int, workers: int = 1) -> None:
+def _check_request(n: int, workers: int = 1) -> None:
     if n < 0:
         raise ValueError(f"sieve bound must be non-negative, got {n}")
-    if segment_size < 1:
-        raise ValueError(f"segment size must be positive, got {segment_size}")
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")
-    if segment_size > MAX_SEGMENT_SIZE:
-        raise SieveLimitError(
-            f"segment size {segment_size} exceeds the maximum {MAX_SEGMENT_SIZE}"
-        )
     if workers > MAX_WORKERS:
         raise SieveLimitError(f"worker count {workers} exceeds the maximum {MAX_WORKERS}")
     if n > MAX_SIEVE_BOUND:
@@ -82,22 +77,21 @@ def _odd_mask(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     return mask
 
 
-def iter_prime_arrays(
-    n: int, segment_size: int = DEFAULT_SEGMENT_SIZE, start: int = 0
-) -> Iterator[tuple[int, int, np.ndarray]]:
+def iter_prime_arrays(n: int, *, start: int = 0) -> Iterator[tuple[int, int, np.ndarray]]:
     """Yield (lo, hi, primes) with primes ascending and coverage contiguous.
 
     Each tuple asserts "every prime in [lo, hi) is in this array"; the union
     of coverages is [start, n + 1), so a consumer can finalize a point x as
-    soon as a piece with hi > x has been consumed.  Windows of segment_size
+    soon as a piece with hi > x has been consumed.  Windows of SEGMENT_SIZE
     from max(start, 3) come as pieces of at most PIECE integers.
     """
-    _check_request(n, segment_size)
+    _check_request(n)
     if start < min(3, n + 1):
         yield start, min(3, n + 1), _TWO[: int(n >= 2)]
     base = base_odd_primes(math.isqrt(n))
-    for lo in range(max(start, 3), n + 1, segment_size):
-        hi = min(lo + segment_size, n + 1)
+    size = SEGMENT_SIZE
+    for lo in range(max(start, 3), n + 1, size):
+        hi = min(lo + size, n + 1)
         mask = _odd_mask(lo, hi, base)
         # PIECE is even, so every piece starts at the parity of lo, and its
         # first odd number is flag (piece_lo - lo) / 2.
@@ -133,9 +127,9 @@ def iter_checkpoint_events(
             yield "terms", arr[start:]
 
 
-def primes_array(n: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
+def primes_array(n: int) -> np.ndarray:
     """Materialized int64 array of all primes <= n, ascending."""
-    arrays = (arr for _, _, arr in iter_prime_arrays(n, segment_size))
+    arrays = (arr for _, _, arr in iter_prime_arrays(n))
     return np.concatenate([np.empty(0, dtype=np.int64), *arrays])
 
 

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .sieve import DEFAULT_SEGMENT_SIZE, _check_request, _validate_points, iter_prime_arrays
+from .sieve import _check_request, _validate_points, iter_prime_arrays
 
 
 LIMB_BITS = 30
@@ -206,7 +206,7 @@ def _term_arrays(values: np.ndarray, sums: Sequence[str] = SUMS) -> list[np.ndar
     return [terms[key]() for key in sums]
 
 
-def _sum_run(start: int, stop: int, points: np.ndarray, segment_size: int, sums):
+def _sum_run(start: int, stop: int, points: np.ndarray, sums):
     """The integers [start, stop), sieved and summed from zero.
 
     Returns the run's prime count; the count of its primes <= x at each x of
@@ -218,7 +218,7 @@ def _sum_run(start: int, stop: int, points: np.ndarray, segment_size: int, sums)
     limbs = np.empty((GRID_LIMBS, len(sums), len(points)), dtype=np.int64)
     total = np.zeros((GRID_LIMBS, len(sums), 1), dtype=np.int64)
     count = k = d = 0
-    for _, hi, arr in iter_prime_arrays(stop - 1, segment_size, start):
+    for _, hi, arr in iter_prime_arrays(stop - 1, start=start):
         j = int(np.searchsorted(points, hi))
         pi[k:j] = count + np.searchsorted(arr, points[k:j], side="right")
         # Points with one value of pi share a column, even across pieces.
@@ -260,19 +260,15 @@ def _pooled(fn: Callable, tasks: Iterable[tuple], procs: int) -> Iterator:
 
 
 def accumulate_checkpoints(
-    n_max: int,
-    points: Sequence[int],
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
-    sums: Sequence[str] = SUMS,
+    n_max: int, points: Sequence[int], *, workers: int = 1, sums: Sequence[str] = SUMS
 ) -> dict[str, np.ndarray]:
     """One sieve pass giving x, pi(x) and the requested sums at each point.
 
     Returns one array per key "x", "pi" and each of sums, a non-empty
     selection of "s", "a", "q" and "l" (all four by default), with entry i
     taken at points[i].  Points must be strictly ascending with
-    points[-1] <= n_max.  The columns are bit-identical for any segment
-    size, worker count and selection of sums.
+    points[-1] <= n_max.  The columns are bit-identical for any sieve
+    window, cut into runs, worker count and selection of sums.
     """
     keys = [key for key in SUMS if key in sums]
     if not sums or len(keys) < len(set(sums)):
@@ -281,9 +277,9 @@ def accumulate_checkpoints(
     if xs[-1] > n_max:
         raise ValueError(f"last checkpoint {xs[-1]} exceeds n_max {n_max}")
     last = int(xs[-1])
-    _check_request(last, segment_size, workers)
+    _check_request(last, workers)
     integers = max(RUN_INTEGERS, -(-(last + 1) // (RUNS_PER_WORKER * workers)))
-    tasks = [(*run, segment_size, keys) for run in _runs(xs, integers)]
+    tasks = [(*run, keys) for run in _runs(xs, integers)]
     procs = min(workers, len(tasks))
     results = _pooled(_sum_run, tasks, procs) if procs > 1 else starmap(_sum_run, tasks)
     pi = np.empty(len(xs), dtype=np.int64)

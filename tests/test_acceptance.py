@@ -21,6 +21,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from mertens import sieve
 from mertens.bounds import (
     B,
     binomial_prime_product_scan,
@@ -267,11 +268,14 @@ def test_criterion_08_residual_caps(shared_scan):
     )
 
 
-def test_criterion_09_byte_identical_json(tmp_path):
+def test_criterion_09_byte_identical_json(monkeypatch, tmp_path):
     blobs = set()
     runs = 0
     for workers in ("1", "4", "16"):
-        for segment_size in (str(1 << 14), str(1 << 18), str(1 << 20)):
+        for segment_size in (1 << 14, 1 << 18, 1 << 20):
+            # Forked pool workers inherit the patched window; spawned ones sieve
+            # in 2**20 windows, and the bytes must agree all the same.
+            monkeypatch.setattr(sieve, "SEGMENT_SIZE", segment_size)
             path = tmp_path / f"t_{workers}_{segment_size}.json"
             code = main(
                 [
@@ -282,8 +286,6 @@ def test_criterion_09_byte_identical_json(tmp_path):
                     "json",
                     "--workers",
                     workers,
-                    "--segment-size",
-                    segment_size,
                     "--out",
                     str(path),
                 ]

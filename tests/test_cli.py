@@ -15,7 +15,7 @@ import mertens.sums
 from mertens import __version__
 from mertens.bounds import envelope_halfwidth, estimate_mertens_B, extrapolate_sum
 from mertens.cli import main
-from mertens.sieve import MAX_SEGMENT_SIZE, MAX_WORKERS
+from mertens.sieve import MAX_SIEVE_BOUND, MAX_WORKERS
 from mertens.sums import accumulate_checkpoints
 
 
@@ -87,10 +87,11 @@ def test_table_bytes_stable_across_segmentation_and_workers(monkeypatch, tmp_pat
     monkeypatch.setattr(mertens.sums, "RUN_INTEGERS", 16384)
     blobs = set()
     for segment_size, workers in [
-        ("16384", "1"),
-        ("16384", "2"),  # seven runs, so the pool really starts
-        ("1048576", "1"),
+        (16384, "1"),
+        (16384, "2"),  # seven runs, so the pool really starts; forked workers inherit the window
+        (1048576, "1"),
     ]:
+        monkeypatch.setattr(mertens.sieve, "SEGMENT_SIZE", segment_size)
         path = tmp_path / f"t{segment_size}_{workers}.json"
         code = main(
             [
@@ -99,8 +100,6 @@ def test_table_bytes_stable_across_segmentation_and_workers(monkeypatch, tmp_pat
                 "1e5",
                 "--format",
                 "json",
-                "--segment-size",
-                segment_size,
                 "--workers",
                 workers,
                 "--out",
@@ -161,7 +160,13 @@ def test_unknown_flag_exits_2(capsys):
     assert code == 2
 
 
-def test_resource_exhaustion_exit_3(capsys):
+def test_resource_exhaustion_exit_3(monkeypatch, capsys):
+    # Every sieve command refuses its bound before any work: table builds no
+    # decades, so not even 4,300 digits reach the int64 cast of checkpoints.
+    def no_decades(n_max):
+        raise AssertionError("decades built for a refused bound")
+
+    monkeypatch.setattr(mertens.cli, "_decade_checkpoints", no_decades)
     # The last decade, 1e13, is above the 2^40 sieve cap.
     code, _, err = run_cli(["table", "--n-max", "1e13"], capsys)
     assert code == 3
@@ -172,11 +177,16 @@ def test_resource_exhaustion_exit_3(capsys):
         ["table", "--n-max", "1e16"],
         ["table", "--n-max", "10000000000000000"],
         ["verify", "--n-max", "1e16"],
-        ["table", "--n-max", "1e4299"],  # 4,300 digits: parsed, then past the cap
+        ["estimate-b", "--n-max", "1e16"],
+        # 4,300 digits: parsed, then past the cap
+        *([command, "--n-max", "1e4299"] for command in ("table", "verify", "estimate-b")),
     ):
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (3, ""), argv
-        assert "the sieve maximum" in err, argv
+        assert err == (
+            f"error: bound {mertens.cli._count(argv[2])} exceeds the sieve maximum "
+            f"{MAX_SIEVE_BOUND}; use the extrapolation path\n"
+        ), argv
         spelled[argv[2]] = err
     assert spelled["1e16"] == spelled["10000000000000000"]
 
@@ -189,25 +199,30 @@ def test_resource_ceilings_exit_3(monkeypatch, capsys):
 
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     too_many = str(MAX_WORKERS + 1)
-    too_big = str(MAX_SEGMENT_SIZE + 1)
     for argv in (
         ["table", "--n-max", "1e4", "--workers", too_many],
-        ["table", "--n-max", "1e4", "--segment-size", too_big],
         ["estimate-b", "--n-max", "1e4", "--workers", too_many],
         ["verify", "--n-max", "1e4", "--workers", too_many],
-        ["verify", "--n-max", "1e4", "--segment-size", too_big],
         # e-notation is read exactly, so a huge value reaches the same ceiling
         ["table", "--n-max", "1e4", "--workers", "1e20"],
         ["table", "--n-max", "1e4", "--workers", "100000000000000000000"],
-        ["table", "--n-max", "1e4", "--segment-size", "1e20"],
         ["verify", "--n-max", "1e4", "--workers", "1e20"],
     ):
         code, out, err = run_cli(argv, capsys)
         assert code == 3, argv
         assert out == ""
         assert "exceeds the maximum" in err
-    at_ceilings = ["--workers", str(MAX_WORKERS), "--segment-size", str(MAX_SEGMENT_SIZE)]
-    code, _, _ = run_cli(["table", "--n-max", "1e4", *at_ceilings], capsys)
+    # The sieve window is fixed, so --segment-size is an unknown flag.
+    for argv in (
+        ["table", "--n-max", "1e4", "--segment-size", str((1 << 24) + 1)],
+        ["verify", "--n-max", "1e4", "--segment-size", str((1 << 24) + 1)],
+        ["table", "--n-max", "1e4", "--segment-size", "1e20"],
+        ["estimate-b", "--n-max", "1e4", "--segment-size", str(1 << 20)],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert "unrecognized arguments: --segment-size" in err
+    code, _, _ = run_cli(["table", "--n-max", "1e4", "--workers", str(MAX_WORKERS)], capsys)
     assert code == 0
 
 
@@ -332,9 +347,9 @@ def test_verify_at_1e5_passes(monkeypatch, capsys):
     sieved = [0] * 100_001  # times each integer was sieved
     prime_arrays = mertens.sieve.iter_prime_arrays
 
-    def counted(n, segment_size, start=0):
+    def counted(n, *, start=0):
         sieved[start : n + 1] = [k + 1 for k in sieved[start : n + 1]]
-        return prime_arrays(n, segment_size, start)
+        return prime_arrays(n, start=start)
 
     monkeypatch.setattr(mertens.sieve, "iter_prime_arrays", counted)
     monkeypatch.setattr(mertens.sums, "iter_prime_arrays", counted)

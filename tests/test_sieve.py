@@ -6,7 +6,6 @@ import pytest
 
 from mertens import sieve, sums
 from mertens.sieve import (
-    DEFAULT_SEGMENT_SIZE,
     MAX_SIEVE_BOUND,
     SieveLimitError,
     _check_request,
@@ -56,10 +55,13 @@ def test_consecutive_pi_deltas_are_zero_or_one():
     assert set(np.unique(deltas)) <= {0, 1}
 
 
-def test_segment_size_independence():
+def test_segment_size_independence(monkeypatch):
     rng = random.Random(1905)
     for n in [rng.randint(10**6, 10**7) for _ in range(2)] + [10**7]:
-        streams = [primes_array(n, segment_size=size) for size in (1024, 65536, 1 << 20)]
+        streams = []
+        for size in (1024, 65536, 1 << 20):
+            monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
+            streams.append(primes_array(n))
         assert np.array_equal(streams[0], streams[1])
         assert np.array_equal(streams[0], streams[2])
 
@@ -91,9 +93,9 @@ def test_pi_at_million_against_independent_sieve():
 
 
 def test_segment_boundaries_against_trial_division():
-    # Integers straddling the first few default window and piece boundaries
-    # against trial division; every integer up to the last against a dense sieve.
-    sizes = (DEFAULT_SEGMENT_SIZE, sieve.PIECE)
+    # Integers straddling the first few window and piece boundaries against
+    # trial division; every integer up to the last against a dense sieve.
+    sizes = (sieve.SEGMENT_SIZE, sieve.PIECE)
     boundaries = [3 + size * k for size in sizes for k in (1, 2, 3)]
     hi = max(boundaries) + 40
     primes = primes_array(hi)
@@ -110,31 +112,35 @@ def test_worker_count_does_not_change_stream(monkeypatch):
     # together they give the one stream; the columns, for any worker count.
     n = 3 * 10**5
     starts = [0, 1, 2, 3, 4, 1000, 65537, n + 1]
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 1 << 16)  # forked pool workers inherit it
     arrays = [
         piece
         for start, stop in zip(starts, starts[1:])
-        for piece in iter_prime_arrays(stop - 1, 1 << 16, start)
+        for piece in iter_prime_arrays(stop - 1, start=start)
     ]
     assert [lo for lo, _, _ in arrays] == [0, *(hi for _, hi, _ in arrays[:-1])]
     assert arrays[-1][1] == n + 1
     assert np.array_equal(np.concatenate([arr for _, _, arr in arrays]), primes_array(n))
     monkeypatch.setattr(sums, "RUN_INTEGERS", 1 << 16)  # several runs, so the pool starts
     points = [2, 1000, 65536, 65537, 10**5, n]
-    serial = accumulate_checkpoints(n, points, 1 << 16, workers=1)
-    for key, col in accumulate_checkpoints(n, points, 1 << 16, workers=3).items():
+    serial = accumulate_checkpoints(n, points, workers=1)
+    for key, col in accumulate_checkpoints(n, points, workers=3).items():
         assert col.tobytes() == serial[key].tobytes(), key
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
 def test_pool_under_each_start_method_gives_the_serial_stream(monkeypatch, method):
     # Workers that start from a fresh interpreter get everything from their
-    # tasks, and the runs must still be added in order.
+    # tasks, and the runs must still be added in order.  They import the
+    # package afresh, so the patched window reaches the serial pass alone:
+    # the pool sieves in windows of 2**20, and the columns must still agree.
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"no {method} start method on this platform")
     monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(method).Pool)
     monkeypatch.setattr(sums, "RUN_INTEGERS", 1 << 16)
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 1 << 14)
     points = [10, 4097, 65536, 65537, 150_001, 200_000]
-    serial, pooled = (accumulate_checkpoints(200_000, points, 1 << 14, w) for w in (1, 2))
+    serial, pooled = (accumulate_checkpoints(200_000, points, workers=w) for w in (1, 2))
     for key, col in serial.items():
         assert col.tobytes() == pooled[key].tobytes(), key
 
@@ -144,22 +150,31 @@ def test_pool_window_smaller_than_task_count(monkeypatch):
     monkeypatch.setattr(sums, "RUN_INTEGERS", 4096)
     monkeypatch.setattr(sums, "RUNS_PER_WORKER", 1 << 40)
     points = [10, 997, 4096, 4097, 65536, 10**5]
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 4096)
     assert len(list(sums._runs(np.array(points), 4096))) == 25
-    serial = accumulate_checkpoints(10**5, points, segment_size=4096, workers=1)
-    pooled = accumulate_checkpoints(10**5, points, segment_size=4096, workers=2)
+    serial = accumulate_checkpoints(10**5, points, workers=1)
+    pooled = accumulate_checkpoints(10**5, points, workers=2)
     for key, col in serial.items():
         assert col.tobytes() == pooled[key].tobytes()
     assert list(sums._pooled(pow, [(k, 2) for k in range(25)], 2)) == [k * k for k in range(25)]
 
 
-def test_windows_come_in_bounded_pieces():
+def test_windows_come_in_bounded_pieces(monkeypatch):
     # Windows below, at and above PIECE, one odd-sized (its pieces start on
     # even integers), and one covering all of n; and a stream that starts at
     # an even integer past 3.
     n = 3 * 10**6
     sizes = (4096, 1 << 18, 1 << 20, (1 << 20) + 7, 1 << 22)
-    streams = {(size, 0): list(iter_prime_arrays(n, size)) for size in sizes}
-    streams[(1 << 20, 1000)] = list(iter_prime_arrays(n, 1 << 20, 1000))
+
+    def window(size):
+        monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
+
+    streams = {}
+    for size in sizes:
+        window(size)
+        streams[(size, 0)] = list(iter_prime_arrays(n))
+    window(1 << 20)
+    streams[(1 << 20, 1000)] = list(iter_prime_arrays(n, start=1000))
     edges = set()
     for (segment_size, start), arrays in streams.items():
         assert arrays[0][0] == start and arrays[-1][1] == n + 1
@@ -170,15 +185,17 @@ def test_windows_come_in_bounded_pieces():
         windows = {first + segment_size * k for k in range((n - first) // segment_size + 1)}
         assert windows <= {lo for lo, _, _ in arrays}  # a window edge is a piece edge
         edges |= {lo for lo, _, _ in arrays}
-    want = primes_array(n, segment_size=4096)
+    window(4096)
+    want = primes_array(n)
     for (_, start), arrays in streams.items():
         got = np.concatenate([arr for _, _, arr in arrays])
         assert np.array_equal(got, want[np.searchsorted(want, start) :])
     points = sorted({x + d for x in edges for d in (-1, 0, 1)} & set(range(n + 1)))
-    ref = accumulate_checkpoints(n, points, 4096, 1)
+    ref = accumulate_checkpoints(n, points, workers=1)
     configs = [(size, workers) for workers in (1, 2) for size in sizes]
     for segment_size, workers in configs[1:]:
-        cols = accumulate_checkpoints(n, points, segment_size, workers)
+        window(segment_size)
+        cols = accumulate_checkpoints(n, points, workers=workers)
         for key, col in ref.items():
             assert col.tobytes() == cols[key].tobytes(), (segment_size, workers, key)
 
@@ -192,15 +209,27 @@ def test_pi_at_input_validation():
         accumulate_checkpoints(100, [5, 5])
 
 
-def test_stream_parameter_validation():
+def test_stream_parameter_validation(monkeypatch):
     with pytest.raises(ValueError):
         primes_array(-1)
-    with pytest.raises(ValueError):
-        primes_array(100, segment_size=0)
     with pytest.raises(ValueError):
         next(iter_prime_arrays(-1))
     with pytest.raises(ValueError):
         accumulate_checkpoints(100, [10], workers=0)
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 0)  # a zero window is refused, never looped on
+    with pytest.raises(ValueError):
+        primes_array(100)
+
+
+def test_stale_positional_calls_fail_loudly():
+    # A window passed where these once took one must raise, not run with 8
+    # workers or start the stream at 65,536.
+    with pytest.raises(TypeError):
+        accumulate_checkpoints(100, [10], 8)
+    with pytest.raises(TypeError):
+        iter_prime_arrays(100, 1 << 16)
+    with pytest.raises(TypeError):
+        primes_array(100, segment_size=1 << 16)
 
 
 def test_sieve_cap_is_enforced():
@@ -209,12 +238,13 @@ def test_sieve_cap_is_enforced():
         primes_array(MAX_SIEVE_BOUND + 1)
     with pytest.raises(SieveLimitError):
         accumulate_checkpoints(MAX_SIEVE_BOUND + 1, [MAX_SIEVE_BOUND + 1])
-    assert _check_request(MAX_SIEVE_BOUND, 1, 1) is None  # cap itself allowed
+    assert _check_request(MAX_SIEVE_BOUND, 1) is None  # cap itself allowed
 
 
-def test_prime_stream_carries_configuration():
+def test_prime_stream_carries_configuration(monkeypatch):
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 8)
     for start in (0, 1, 2, 3, 20):
-        arrays = list(iter_prime_arrays(50, segment_size=8, start=start))
+        arrays = list(iter_prime_arrays(50, start=start))
         assert (arrays[0][0], arrays[-1][1]) == (start, 51)  # coverage [start, bound + 1)
         assert np.concatenate([arr for _, _, arr in arrays]).tolist() == [
             n for n in range(max(start, 2), 51) if trial_is_prime(n)

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import mpmath as mp
 import numpy as np
@@ -181,12 +182,12 @@ def test_long_add_array_property(arr):
     assert_add_array_exact(arr, START_PARTS)
 
 
-def reference_columns(n_max, points, segment_size=sieve.DEFAULT_SEGMENT_SIZE):
+def reference_columns(n_max, points):
     """Checkpoint columns from the per-event loop: one add_array per sum and terms event."""
     accs = [CompensatedAccumulator() for _ in range(4)]
     pi, rows = [], []
     count = 0
-    arrays = sieve.iter_prime_arrays(n_max, segment_size)
+    arrays = sieve.iter_prime_arrays(n_max)
     for kind, payload in sieve.iter_checkpoint_events(arrays, points):
         if kind == "terms":
             for acc, terms in zip(accs, _term_arrays(payload)):
@@ -199,9 +200,10 @@ def reference_columns(n_max, points, segment_size=sieve.DEFAULT_SEGMENT_SIZE):
     return {"x": np.array(points, dtype=np.int64), "pi": np.array(pi), "s": s, "a": a, "q": q, "l": l}
 
 
-def assert_columns_match_reference(n_max, points, segment_size=sieve.DEFAULT_SEGMENT_SIZE, workers=1):
-    cols = accumulate_checkpoints(n_max, points, segment_size, workers)
-    reference = reference_columns(n_max, points, segment_size)
+def assert_columns_match_reference(n_max, points, workers=1):
+    """accumulate_checkpoints against reference_columns, both at the window sieve.SEGMENT_SIZE."""
+    cols = accumulate_checkpoints(n_max, points, workers=workers)
+    reference = reference_columns(n_max, points)
     assert cols.keys() == reference.keys()
     for key, col in cols.items():
         assert col.dtype == reference[key].dtype, key
@@ -268,17 +270,18 @@ def test_prefix_limbs_refuse_what_the_grid_cannot_hold():
             prefix_limbs([np.array(row) for row in rows], np.array([len(rows[0])]))
 
 
-def test_checkpoints_carry_across_run_edges():
+def test_checkpoints_carry_across_run_edges(monkeypatch):
     # RUN_POINTS - 1, RUN_POINTS and RUN_POINTS + 1 checkpoints at primes, so
     # that no two share a value of pi, and two more: they fill one run to its
     # point limit, or spill 1, 2 or 3 into a second; later runs take the carry.
     primes = primes_array(1 << 16).tolist()
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 1 << 15)
     for count in (RUN_POINTS - 1, RUN_POINTS, RUN_POINTS + 1):
         points = primes[1 : 1 + count] + [3 << 16, (5 << 16) + 7]
-        assert_columns_match_reference(points[-1], points, segment_size=1 << 15)
+        assert_columns_match_reference(points[-1], points)
 
 
-def test_points_sharing_pi_take_their_columns_from_one_cut():
+def test_points_sharing_pi_take_their_columns_from_one_cut(monkeypatch):
     # Runs of points in one prime gap (1328..1360 and 31398..31468 each share
     # one value of pi), one run crossing window edges at the smaller sizes,
     # and 3 * RUN_POINTS consecutive points that take only ~1,300 values of
@@ -286,17 +289,19 @@ def test_points_sharing_pi_take_their_columns_from_one_cut():
     points = [*range(2, 40), *range(1328, 1361), *range(5000, 5000 + 3 * RUN_POINTS)]
     points += range(31398, 31469)
     for segment_size in (64, 4096, 1 << 20):
-        assert_columns_match_reference(points[-1], points, segment_size)
+        monkeypatch.setattr(sieve, "SEGMENT_SIZE", segment_size)
+        assert_columns_match_reference(points[-1], points)
 
 
-def test_checkpoints_in_gaps_repeats_and_below_two():
+def test_checkpoints_in_gaps_repeats_and_below_two(monkeypatch):
     zero = accumulate_checkpoints(1, [0, 1])
     assert zero["pi"].tolist() == [0, 0]
     for key in "saql":
         assert zero[key].tolist() == [0.0, 0.0]
     points = [0, 1, 2, 3, 24, 25, 26, 27, 28, 29, 30]  # 24..28 lie in one prime gap
     for segment_size in (1, 5, 1 << 18):
-        assert_columns_match_reference(30, points, segment_size)
+        monkeypatch.setattr(sieve, "SEGMENT_SIZE", segment_size)
+        assert_columns_match_reference(30, points)
     assert_prefix_exact([[0.5, 0.25, 0.125, 0.0625]], [0, 0, 2, 2, 4, 4])
 
 
@@ -307,8 +312,10 @@ def test_checkpoints_in_gaps_repeats_and_below_two():
     st.sampled_from([1, 2]),
 )
 def test_checkpoint_columns_match_the_per_event_loop(points, segment_size, workers):
+    # patch.object, not monkeypatch: a function-scoped fixture would be shared by every example.
     points = sorted(points)
-    assert_columns_match_reference(points[-1], points, segment_size, workers)
+    with patch.object(sieve, "SEGMENT_SIZE", segment_size):
+        assert_columns_match_reference(points[-1], points, workers)
 
 
 def test_tiny_runs_give_the_default_columns(monkeypatch):
@@ -331,8 +338,9 @@ def test_tiny_runs_give_the_default_columns(monkeypatch):
     idle = [pts for start, stop, pts in runs if not np.any((primes >= start) & (primes < stop))]
     assert any(len(pts) for pts in idle) and any(len(pts) == 0 for pts in idle)
     for segment_size in (32, 64, 1 << 20):
+        monkeypatch.setattr(sieve, "SEGMENT_SIZE", segment_size)
         for workers in (1, 2, 3):
-            cols = accumulate_checkpoints(points[-1], points, segment_size, workers)
+            cols = accumulate_checkpoints(points[-1], points, workers=workers)
             for key, col in reference.items():
                 assert col.tobytes() == cols[key].tobytes(), (segment_size, workers, key)
 
@@ -407,10 +415,9 @@ def test_rows_bit_identical_for_any_segmentation_and_workers(monkeypatch):
     reference = accumulate_checkpoints(10**5 + 3, points)
     monkeypatch.setattr(sums, "RUN_INTEGERS", 1 << 14)  # several runs, so the pool starts
     for segment_size in (1024, 4096, 1 << 18, 1 << 20):
+        monkeypatch.setattr(sieve, "SEGMENT_SIZE", segment_size)
         for workers in (1, 3):
-            cols = accumulate_checkpoints(
-                10**5 + 3, points, segment_size=segment_size, workers=workers
-            )
+            cols = accumulate_checkpoints(10**5 + 3, points, workers=workers)
             assert cols.keys() == reference.keys()
             for key, col in cols.items():
                 assert col.tobytes() == reference[key].tobytes(), key
