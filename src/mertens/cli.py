@@ -202,7 +202,8 @@ def _check_abel_random(cases: int) -> CheckResult:
     for _ in range(cases):
         span = rng.randint(1, 100)
         m = rng.randint(1, 8)
-        vals = lambda: [rng.uniform(-1.0, 1.0) for _ in range(span + 1)]
+        # -1.0 + 2.0 * random() is what rng.uniform(-1.0, 1.0) computes, draw for draw
+        vals = lambda: [-1.0 + 2.0 * rng.random() for _ in range(span + 1)]
         v = identities.abel_identity_eval(
             identities.SequencePair(vals(), vals(), m, m + span - 1)
         )
@@ -308,12 +309,6 @@ def _note_b_estimate(n_max: int, cols) -> CheckResult:
     )
 
 
-def _union(*parts) -> np.ndarray:
-    """The distinct integers of parts, ascending, as one int64 array."""
-    pts = np.sort(np.concatenate([np.asarray(p, dtype=np.int64) for p in parts]))
-    return pts[np.append(True, pts[1:] != pts[:-1])]
-
-
 def _run_verify(args: argparse.Namespace) -> int:
     n_max = args.n_max
     if n_max < bounds.RS_MIN_N:
@@ -327,12 +322,14 @@ def _run_verify(args: argparse.Namespace) -> int:
     stieltjes_pts = identities.stieltjes_grid(min(10**5, n_max), below(min(10**4, n_max)))
     rs_ints = np.arange(bounds.RS_MIN_N, min(10**5, n_max) + 1)
     rs_logs = bounds.log_spaced_integers(bounds.RS_MIN_N, n_max) if n_max > 10**5 else []
-    rs_pts = _union(rs_ints, rs_logs)
+    rs_pts = bounds.sorted_union(rs_ints, rs_logs)
     euler_pts = below(n_max)
     cap_pts = bounds.log_spaced_integers(2, min(10**7, n_max))
     cols = accumulate_checkpoints(
         n_max,
-        _union([n_max], rs_pts, euler_pts, cap_pts, stieltjes_pts, _decade_checkpoints(n_max)),
+        bounds.sorted_union(
+            [n_max], rs_pts, euler_pts, cap_pts, stieltjes_pts, _decade_checkpoints(n_max)
+        ),
         workers=args.workers,
     )
     results = [

@@ -5,30 +5,35 @@ and reports the disagreement.  Every sum is exact up to one final rounding
 (math.fsum, or the prefix limbs of sums), so the tolerances below are
 dominated by per-term rounding, not by accumulation.  stieltjes_scan reads
 the integral at every ascending point from one exact prefix sum over the
-jumps of pi, and factorial_log_scan every left side from one over ln j;
+jumps of pi, and factorial_log_scan every left side from one over ln j and
+every right side from the exact row sums of a table of ln(p) * vp(n!);
 stieltjes_identity_check and factorial_log_identity are their one-point
 cases.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, sub
 from typing import Sequence
 
 import numpy as np
 
-from .bounds import log_spaced_integers
-from .sums import prefix_limbs, round_limbs
+from .bounds import log_spaced_integers, sorted_union
+from .sums import _normalize, prefix_limbs, round_limbs
 
 EPS = sys.float_info.epsilon
 
 REL_TOL_EXACT = 1e-12  # identities exact in real arithmetic
 REL_TOL_LOG_SUMS = 1e-10  # n-term log sums, n up to 1e5
 LOG_BOUND_SLACK = 4.0 * EPS
+# factorial_log_scan's exponent table holds at most this many entries per
+# chunk of rows (or one row); at 2**20, verify --n-max 1e7 peaked ~2 MB higher.
+FACTORIAL_CHUNK = 1 << 16
 
 
 @dataclass
@@ -93,10 +98,10 @@ def abel_identity_eval(seq: SequencePair) -> IdentityVerdict:
         = f_{n+1} g_{n+1} - f_m g_m - sum_{i=m}^{n} g_{i+1} (f_{i+1} - f_i)
     """
     m, n = seq.m, seq.n
-    f = [float(v) for v in seq.f[: n - m + 2]]
-    g = [float(v) for v in seq.g[: n - m + 2]]
-    lhs = math.fsum(f[i] * (g[i + 1] - g[i]) for i in range(n - m + 1))
-    tail = math.fsum(g[i + 1] * (f[i + 1] - f[i]) for i in range(n - m + 1))
+    f = list(map(float, seq.f[: n - m + 2]))
+    g = list(map(float, seq.g[: n - m + 2]))
+    lhs = math.fsum(map(mul, f, map(sub, g[1:], g)))
+    tail = math.fsum(map(mul, g[1:], map(sub, f[1:], f)))
     rhs = f[-1] * g[-1] - f[0] * g[0] - tail
     return _verdict(lhs, rhs, REL_TOL_EXACT)
 
@@ -113,8 +118,8 @@ def stieltjes_identity_check(x: int, primes: np.ndarray, s_lhs: float) -> Identi
 
 def stieltjes_grid(limit: int, primes: np.ndarray) -> list[int]:
     """Scan grid: log-spaced thresholds plus each p - 1, p and p + 1 of primes, in [2, limit]."""
-    xs = np.concatenate([log_spaced_integers(2, limit), primes - 1, primes, primes + 1])
-    return np.unique(xs[(2 <= xs) & (xs <= limit)]).tolist()
+    xs = sorted_union(log_spaced_integers(2, limit), primes - 1, primes, primes + 1)
+    return xs[(2 <= xs) & (xs <= limit)].tolist()
 
 
 def stieltjes_scan(
@@ -144,6 +149,7 @@ def stieltjes_scan(
     ]
 
 
+@functools.lru_cache(maxsize=1024)  # each p is trial-divided once, not on every call
 def _require_prime(p: int) -> None:
     if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"{p} is not prime")
@@ -181,16 +187,18 @@ def factorial_log_identity(n: int, primes: np.ndarray) -> FactorialLogCheck:
     return factorial_log_scan([n], primes)[0]
 
 
-def _add_exponents(exps: list[int], ps: list[int], n: int) -> None:
-    """Add the exponent of each prime ps[i] in n >= 1 to exps[i], by trial division."""
-    for i, p in enumerate(ps):
-        if p * p > n:
-            break
-        while n % p == 0:
-            n //= p
-            exps[i] += 1
-    if n > 1:
-        exps[bisect_left(ps, n)] += 1
+def _factorial_exponents(ns: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """vp(n!) for each n of ascending ns (rows) and p of ascending ps (columns).
+
+    Legendre's sum of floor(n / q) over q = p, p^2, ...; the q <= max(ns)
+    of each pass are a prefix of the columns, since p^i ascends with p.
+    """
+    exps = np.zeros((len(ns), len(ps)), dtype=np.int64)
+    q = ps
+    while len(q := q[q <= ns[-1]]):
+        exps[:, : len(q)] += ns[:, None] // q
+        q = q * ps[: len(q)]
+    return exps
 
 
 def factorial_log_scan(ns: Sequence[int], primes: np.ndarray) -> list[FactorialLogCheck]:
@@ -198,10 +206,12 @@ def factorial_log_scan(ns: Sequence[int], primes: np.ndarray) -> list[FactorialL
 
     lhs = sum of ln j for j = 2..n, every one read from one exact prefix sum
     of the np.log terms (n = 1 gives 0), so each is correctly rounded.
-    rhs = sum over primes p <= n of ln(p) * vp(n!) by math.fsum, taken from
-    the ascending array primes, which must hold every prime <= max(ns).
-    vp(n!) = vp((n - 1)!) + vp(n), so along a run n - 1, n the exponents
-    are carried by factoring n; after a jump they are recomputed.
+    rhs = sum over primes p <= n of ln(p) * vp(n!), from the ascending array
+    primes, which must hold every prime <= max(ns).  The exponents come as
+    a table, rows of ns by primes, in chunks of at most FACTORIAL_CHUNK
+    entries (or one row); each row of ln(p) * vp(n!), with ln(p) from
+    math.log, is summed exactly by prefix_limbs and rounded once, so rhs is
+    bit-equal to math.fsum of the same products.
     Also reports the weak-Stirling ratio, which stays in [-1, 0] because
     (n/e)^n <= n! <= n^n.
     """
@@ -210,23 +220,27 @@ def factorial_log_scan(ns: Sequence[int], primes: np.ndarray) -> list[FactorialL
         raise ValueError("factorial_log_scan needs ascending n >= 1")
     logs = np.log(np.arange(2, cuts[-1] + 2, dtype=np.float64))
     lhs = round_limbs(prefix_limbs([logs], cuts))[0]
-    ps = primes[: np.searchsorted(primes, cuts[-1] + 1, side="right")].tolist()
-    log_ps = [math.log(p) for p in ps]
-    exps = [0] * len(ps)  # vp(prev!) for each p in ps
-    prev = 1
+    n_rows = cuts + 1
+    ks = np.searchsorted(primes, n_rows, side="right")  # pi(n) of each row
+    ps = primes[: ks[-1]]
+    log_ps = np.array(list(map(math.log, ps.tolist())))
+    rhs = np.zeros(len(n_rows))
+    firsts = [0]  # the first row of each chunk
+    for i, k in enumerate(ks.tolist()):
+        if i > firsts[-1] and (i - firsts[-1] + 1) * k > FACTORIAL_CHUNK:
+            firsts.append(i)
+    for a, b in zip(firsts, firsts[1:] + [len(n_rows)]):
+        k = ks[b - 1]
+        if k:
+            terms = _factorial_exponents(n_rows[a:b], ps[:k]) * log_ps[:k]
+            limbs = prefix_limbs([terms.ravel()], np.arange(b - a + 1) * k)
+            rhs[a:b] = round_limbs(_normalize(np.diff(limbs, axis=2)))[0]
     out = []
-    for n, left in zip((cuts + 1).tolist(), lhs.tolist()):
-        k = bisect_right(ps, n)
-        if n == prev + 1:
-            _add_exponents(exps, ps, n)
-        elif n != prev:
-            exps[:k] = [_vp_unchecked(n, p) for p in ps[:k]]
-        prev = n
-        rhs = math.fsum(log_p * e for log_p, e in zip(log_ps[:k], exps))
+    for n, left, right in zip(n_rows.tolist(), lhs.tolist(), rhs.tolist()):
         ratio = (left - n * math.log(n)) / n
         out.append(
             FactorialLogCheck(
-                identity=_verdict(left, rhs, REL_TOL_LOG_SUMS),
+                identity=_verdict(left, right, REL_TOL_LOG_SUMS),
                 stirling_ratio=ratio,
                 stirling_ok=-1.0 <= ratio <= 0.0,
             )

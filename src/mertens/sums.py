@@ -7,8 +7,8 @@ Every checkpoint value is the correctly rounded sum of the binary64 terms up
 to it.  prefix_limbs holds running sums exactly as integer limbs on one fixed
 binary grid and reads every cut of a row from them in a few vector steps;
 round_limbs rounds all the cuts at once.  The scans in identities use them
-too; identities rounds its other sums (the Abel sides, the factorial right
-sides and the Euler partial sums) correctly with math.fsum.
+too, the factorial right sides among them; identities rounds its other sums
+(the Abel sides and the Euler partial sums) correctly with math.fsum.
 
 accumulate_checkpoints cuts its pass into runs, each sieved and summed from
 zero in this process or in a pool, and adds the runs' limbs in order; so the

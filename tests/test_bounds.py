@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import mertens.bounds
 from mertens.bounds import (
     B,
     CHEBYSHEV_BLOCK,
@@ -110,7 +111,7 @@ def whole_range_chebyshev(lo, hi, pi):
     return len(margins), int(np.count_nonzero(margins < 0.0)), worst
 
 
-def test_chebyshev_blocks_match_whole_range_scan():
+def test_chebyshev_blocks_match_whole_range_scan(monkeypatch):
     hi_max = 3 * CHEBYSHEV_BLOCK + 100
     ranges = [
         (16, CHEBYSHEV_BLOCK + 15),  # exactly one block
@@ -128,6 +129,14 @@ def test_chebyshev_blocks_match_whole_range_scan():
             rep = chebyshev_dyadic_check(lo, hi, primes)
             got = (rep.scanned, rep.violations, (rep.worst_margin, rep.worst_arg))
             assert got == whole_range_chebyshev(lo, hi, pi), (lo, hi)
+        # Small blocks: odd and even block starts, and half-ranges that cross block edges.
+        for block in (7, 64):
+            monkeypatch.setattr(mertens.bounds, "CHEBYSHEV_BLOCK", block)
+            for lo, hi in ((16, 5000), (17, 16 + block), (16 + block, 16 + 3 * block)):
+                rep = chebyshev_dyadic_check(lo, hi, primes)
+                got = (rep.scanned, rep.violations, (rep.worst_margin, rep.worst_arg))
+                assert got == whole_range_chebyshev(lo, hi, pi), (block, lo, hi)
+            monkeypatch.undo()
 
 
 def test_chebyshev_memory_is_flat_in_hi():

@@ -377,7 +377,11 @@ def test_verify_at_1e5_passes(monkeypatch, capsys):
         "mertens_b_estimate",
     ]
     assert "FAIL" not in {line.split()[0] for line in lines[:-1]}
-    # Neither line reads np.log, so both are the same bytes on every platform.
+    # None of these lines reads np.log, so each is the same bytes on every
+    # platform; the Abel line pins Python's random draws, one for one.
+    assert lines[1] == (
+        "PASS abel_summation_by_parts                cases=1000 worst_rel_diff=4.798e-14"
+    )
     assert lines[2] == (
         "PASS stieltjes_partial_integration          "
         "points=4070 max_x=100000 worst_rel_diff=2.210e-16"
@@ -386,6 +390,7 @@ def test_verify_at_1e5_passes(monkeypatch, capsys):
         "PASS euler_product_bracketing               "
         "n in (2, 3, 5, 7, 13, 31, 47) cutoff=2^20 worst_gap=2.907e-02"
     )
+    assert lines[4] == "PASS legendre_factorial_reconstruction      n<=200 exact big-integer"
     assert lines[-1] == "verify: n_max=100000 checks=17 failures=0 -> exit 0"
 
 

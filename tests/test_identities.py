@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mertens.identities
 from mertens.bounds import log_spaced_integers
 from mertens.identities import (
     SequencePair,
@@ -273,21 +275,52 @@ def test_factorial_log_range_and_large_n():
     assert -1.0 < big.stirling_ratio < 0.0
 
 
+def per_n_fsum_sides(n, primes):
+    """Both sides as the per-n loop takes them: fsum of the np.log terms, and
+    fsum of ln(p) * vp(n!) over the primes <= n."""
+    lhs = math.fsum(np.log(np.arange(2, n + 1, dtype=np.float64)).tolist())
+    ps = primes[: np.searchsorted(primes, n, side="right")].tolist()
+    return lhs, math.fsum(math.log(p) * legendre_vp(n, p) for p in ps)
+
+
 def test_factorial_log_scan_equals_per_n_fsum_bitwise():
-    # Both sides as the per-n loop takes them: fsum of the np.log terms, and
-    # fsum of ln(p) * vp(n!) over the primes <= n.
     primes = primes_array(10**5)
     # A run from 1, a repeat, a run after a jump, and lone jumps.
     ns = list(range(1, 400)) + [1000, 1000, 1001, 1002, 1003, 2000, 10**4, 10**5]
     checks = factorial_log_scan(ns, primes)
     assert len(checks) == len(ns)
     for n, check in zip(ns, checks):
-        lhs = math.fsum(np.log(np.arange(2, n + 1, dtype=np.float64)).tolist())
-        ps = primes[: np.searchsorted(primes, n, side="right")].tolist()
-        rhs = math.fsum(math.log(p) * legendre_vp(n, p) for p in ps)
-        assert (check.identity.lhs, check.identity.rhs) == (lhs, rhs), n
+        assert (check.identity.lhs, check.identity.rhs) == per_n_fsum_sides(n, primes), n
     for n in (1, 2, 397, 10**5):
         assert factorial_log_identity(n, primes) == checks[ns.index(n)]
+
+
+@pytest.mark.parametrize("chunk", [1, 64, mertens.identities.FACTORIAL_CHUNK])
+def test_factorial_log_scan_is_bitwise_at_every_chunk_size(monkeypatch, chunk):
+    # Chunks of 1 and 64 exponents hold one row each from n = 2 and n = 313
+    # (pi(n) > 64) on; the default chunk holds many rows.
+    monkeypatch.setattr(mertens.identities, "FACTORIAL_CHUNK", chunk)
+    primes = primes_array(5 * 10**4)
+    ns = [1, 1, 2, 3, 3, 4, 60, 61, 62, 62, 63, 300, 313, 314, 315, 1000, 1000]
+    ns += list(range(2980, 3020)) + [7919, 7920, 10**4, 10**4, 5 * 10**4]
+    checks = factorial_log_scan(ns, primes)
+    assert len(checks) == len(ns)
+    for n, check in zip(ns, checks):
+        assert (check.identity.lhs, check.identity.rhs) == per_n_fsum_sides(n, primes), n
+        assert check.identity.passed and check.stirling_ok
+
+
+def test_factorial_log_scan_memory_is_bounded():
+    # verify's rows: the exponent table is built a chunk at a time, never whole
+    # (one table of every row would be 2002 x 9592 int64, ~150 MB).
+    primes = primes_array(10**5)
+    tracemalloc.start()
+    try:
+        factorial_log_scan(list(range(1, 2001)) + [10**4, 10**5], primes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20, peak
 
 
 def test_factorial_log_scan_needs_ascending_n_from_one():
