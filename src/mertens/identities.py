@@ -6,9 +6,10 @@ and reports the disagreement.  Every sum is exact up to one final rounding
 dominated by per-term rounding, not by accumulation.  stieltjes_scan reads
 the integral at every ascending point from one exact prefix sum over the
 jumps of pi, and factorial_log_scan every left side from one over ln j and
-every right side from the exact row sums of a table of ln(p) * vp(n!);
-stieltjes_identity_check and factorial_log_identity are their one-point
-cases.
+every right side from the exact row sums of a table of ln(p) * vp(n!).
+Both scans return columns indexed like their points, judged by one
+elementwise verdict; stieltjes_identity_check and factorial_log_identity
+are their one-point cases, and return entry 0 as Python scalars.
 """
 
 from __future__ import annotations
@@ -38,19 +39,32 @@ FACTORIAL_CHUNK = 1 << 16
 
 @dataclass
 class IdentityVerdict:
-    lhs: float
-    rhs: float
-    abs_diff: float
-    rel_diff: float
-    passed: bool
+    """Both sides and their gap: Python scalars at one point, arrays over a scan's points."""
+
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
+    abs_diff: float | np.ndarray
+    rel_diff: float | np.ndarray
+    passed: bool | np.ndarray
 
 
-def _verdict(lhs: float, rhs: float, tol: float) -> IdentityVerdict:
+def _verdict(lhs: np.ndarray, rhs: np.ndarray, tol: float) -> IdentityVerdict:
+    """Judge float64 arrays (or numpy scalars) of both sides entry by entry.
+
+    rel_diff = abs_diff / max(|lhs|, |rhs|), or 0 where that scale is 0 (both
+    sides and abs_diff are 0 there, divided by 1, so no warning).  An entry
+    passes when rel_diff <= tol, or when |lhs| < 1 and abs_diff <= tol; a NaN fails.
+    """
     abs_diff = abs(lhs - rhs)
-    scale = max(abs(lhs), abs(rhs))
-    rel_diff = abs_diff / scale if scale > 0.0 else 0.0
-    passed = rel_diff <= tol or (abs(lhs) < 1.0 and abs_diff <= tol)
+    scale = np.maximum(abs(lhs), abs(rhs))
+    rel_diff = abs_diff / (scale + (scale == 0.0))
+    passed = (rel_diff <= tol) | ((abs(lhs) < 1.0) & (abs_diff <= tol))
     return IdentityVerdict(lhs, rhs, abs_diff, rel_diff, passed)
+
+
+def _entry(v: IdentityVerdict, i: int) -> IdentityVerdict:
+    """Entry i of a verdict of columns (or of numpy scalars), as Python scalars."""
+    return IdentityVerdict(*[x.item(i) for x in vars(v).values()])  # in field order
 
 
 def log_one_minus_bound(x: float) -> IdentityVerdict:
@@ -59,7 +73,7 @@ def log_one_minus_bound(x: float) -> IdentityVerdict:
         raise ValueError(f"bound holds on [0, 0.5], got {x}")
     lhs = -math.log1p(-x)
     rhs = x + x * x
-    v = _verdict(lhs, rhs, REL_TOL_EXACT)
+    v = _entry(_verdict(np.float64(lhs), np.float64(rhs), REL_TOL_EXACT), 0)
     v.passed = lhs <= rhs + LOG_BOUND_SLACK
     return v
 
@@ -103,7 +117,7 @@ def abel_identity_eval(seq: SequencePair) -> IdentityVerdict:
     lhs = math.fsum(map(mul, f, map(sub, g[1:], g)))
     tail = math.fsum(map(mul, g[1:], map(sub, f[1:], f)))
     rhs = f[-1] * g[-1] - f[0] * g[0] - tail
-    return _verdict(lhs, rhs, REL_TOL_EXACT)
+    return _entry(_verdict(np.float64(lhs), np.float64(rhs), REL_TOL_EXACT), 0)
 
 
 def stieltjes_identity_check(x: int, primes: np.ndarray, s_lhs: float) -> IdentityVerdict:
@@ -113,7 +127,7 @@ def stieltjes_identity_check(x: int, primes: np.ndarray, s_lhs: float) -> Identi
     lower limit 1.9 contributes nothing; it matches the stated identity.
     """
     cols = {"x": np.array([x], dtype=np.int64), "s": np.array([s_lhs], dtype=np.float64)}
-    return stieltjes_scan(cols, primes)[0][1]
+    return _entry(stieltjes_scan(cols, primes), 0)
 
 
 def stieltjes_grid(limit: int, primes: np.ndarray) -> list[int]:
@@ -122,9 +136,7 @@ def stieltjes_grid(limit: int, primes: np.ndarray) -> list[int]:
     return xs[(2 <= xs) & (xs <= limit)].tolist()
 
 
-def stieltjes_scan(
-    cols: dict[str, np.ndarray], primes: np.ndarray
-) -> list[tuple[int, IdentityVerdict]]:
+def stieltjes_scan(cols: dict[str, np.ndarray], primes: np.ndarray) -> IdentityVerdict:
     """S(x) = cols["s"] against pi(x)/x + integral(pi(t)/t^2), at each ascending cols["x"].
 
     The integral is the sum over the jumps of pi: k (1/p_k - 1/p_{k+1}) for
@@ -133,6 +145,7 @@ def stieltjes_scan(
     limbs, the differences of its prefix sums over the tails, so round_limbs
     gives every integral correctly rounded.  Points may repeat.  primes holds
     every prime <= the last x, and pi of the last x must be below 2**23.
+    Entry i of the verdict's columns judges cols["x"][i]; its lhs is cols["s"].
     """
     xs = cols["x"]
     if len(xs) == 0 or xs[0] < 2 or np.any(xs[1:] < xs[:-1]):
@@ -143,10 +156,7 @@ def stieltjes_scan(
     tails = ks * (inv[ks - 1] - 1.0 / xs)
     each_tail = np.diff(prefix_limbs([tails], np.arange(len(xs) + 1)), axis=2)
     rhs = ks / xs + round_limbs(prefix_limbs([jumps], ks - 1, each_tail))[0]
-    return [
-        (x, _verdict(s, r, REL_TOL_EXACT))
-        for x, s, r in zip(xs.tolist(), cols["s"].tolist(), rhs.tolist())
-    ]
+    return _verdict(cols["s"], rhs, REL_TOL_EXACT)
 
 
 @functools.lru_cache(maxsize=1024)  # each p is trial-divided once, not on every call
@@ -175,8 +185,8 @@ def legendre_vp(n: int, p: int) -> int:
 @dataclass
 class FactorialLogCheck:
     identity: IdentityVerdict
-    stirling_ratio: float  # (ln n! - n ln n) / n, in [-1, 0] for n >= 1
-    stirling_ok: bool
+    stirling_ratio: float | np.ndarray  # (ln n! - n ln n) / n, in [-1, 0] for n >= 1
+    stirling_ok: bool | np.ndarray
 
 
 def factorial_log_identity(n: int, primes: np.ndarray) -> FactorialLogCheck:
@@ -184,7 +194,8 @@ def factorial_log_identity(n: int, primes: np.ndarray) -> FactorialLogCheck:
 
     The one-point factorial_log_scan.
     """
-    return factorial_log_scan([n], primes)[0]
+    c = factorial_log_scan([n], primes)
+    return FactorialLogCheck(_entry(c.identity, 0), c.stirling_ratio.item(), c.stirling_ok.item())
 
 
 def _factorial_exponents(ns: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -201,8 +212,8 @@ def _factorial_exponents(ns: np.ndarray, ps: np.ndarray) -> np.ndarray:
     return exps
 
 
-def factorial_log_scan(ns: Sequence[int], primes: np.ndarray) -> list[FactorialLogCheck]:
-    """factorial_log_identity at each n of ns, ascending, 1 <= n <= 2**23.
+def factorial_log_scan(ns: Sequence[int], primes: np.ndarray) -> FactorialLogCheck:
+    """factorial_log_identity at each n of ns, ascending, 1 <= n <= 2**23, as columns.
 
     lhs = sum of ln j for j = 2..n, every one read from one exact prefix sum
     of the np.log terms (n = 1 gives 0), so each is correctly rounded.
@@ -213,11 +224,11 @@ def factorial_log_scan(ns: Sequence[int], primes: np.ndarray) -> list[FactorialL
     math.log, is summed exactly by prefix_limbs and rounded once, so rhs is
     bit-equal to math.fsum of the same products.
     Also reports the weak-Stirling ratio, which stays in [-1, 0] because
-    (n/e)^n <= n! <= n^n.
+    (n/e)^n <= n! <= n^n; n ln n takes ln n from math.log.
     """
     cuts = np.asarray(ns, dtype=np.int64) - 1  # ln 2 .. ln n are the first n - 1 terms
-    if len(cuts) == 0 or cuts[0] < 0 or np.any(cuts[1:] < cuts[:-1]):
-        raise ValueError("factorial_log_scan needs ascending n >= 1")
+    if len(cuts) == 0 or cuts[0] < 0 or cuts[-1] >= 1 << 23 or np.any(cuts[1:] < cuts[:-1]):
+        raise ValueError("factorial_log_scan needs ascending n with 1 <= n <= 2**23")
     logs = np.log(np.arange(2, cuts[-1] + 2, dtype=np.float64))
     lhs = round_limbs(prefix_limbs([logs], cuts))[0]
     n_rows = cuts + 1
@@ -225,27 +236,21 @@ def factorial_log_scan(ns: Sequence[int], primes: np.ndarray) -> list[FactorialL
     ps = primes[: ks[-1]]
     log_ps = np.array(list(map(math.log, ps.tolist())))
     rhs = np.zeros(len(n_rows))
-    firsts = [0]  # the first row of each chunk
-    for i, k in enumerate(ks.tolist()):
-        if i > firsts[-1] and (i - firsts[-1] + 1) * k > FACTORIAL_CHUNK:
-            firsts.append(i)
-    for a, b in zip(firsts, firsts[1:] + [len(n_rows)]):
+    # A chunk from row a holds row i while (i - a + 1) * max(pi(n_i), 1) <= FACTORIAL_CHUNK,
+    # i.e. while ends[i] <= a; ends ascends, so one searchsorted ends each chunk.
+    ends = np.arange(1, len(ks) + 1) - FACTORIAL_CHUNK // np.maximum(ks, 1)
+    a = 0
+    while a < len(n_rows):
+        b = max(a + 1, int(np.searchsorted(ends, a, side="right")))
         k = ks[b - 1]
         if k:
             terms = _factorial_exponents(n_rows[a:b], ps[:k]) * log_ps[:k]
             limbs = prefix_limbs([terms.ravel()], np.arange(b - a + 1) * k)
             rhs[a:b] = round_limbs(_normalize(np.diff(limbs, axis=2)))[0]
-    out = []
-    for n, left, right in zip(n_rows.tolist(), lhs.tolist(), rhs.tolist()):
-        ratio = (left - n * math.log(n)) / n
-        out.append(
-            FactorialLogCheck(
-                identity=_verdict(left, right, REL_TOL_LOG_SUMS),
-                stirling_ratio=ratio,
-                stirling_ok=-1.0 <= ratio <= 0.0,
-            )
-        )
-    return out
+        a = b
+    ratio = (lhs - n_rows * np.array(list(map(math.log, n_rows.tolist())))) / n_rows
+    ok = (-1.0 <= ratio) & (ratio <= 0.0)
+    return FactorialLogCheck(_verdict(lhs, rhs, REL_TOL_LOG_SUMS), ratio, ok)
 
 
 @dataclass

@@ -112,6 +112,22 @@ def test_table_bytes_stable_across_segmentation_and_workers(monkeypatch, tmp_pat
     assert len(blobs) == 1
 
 
+def test_verify_bytes_stable_across_segmentation_and_workers(monkeypatch, capsys):
+    monkeypatch.setattr(mertens.sums, "RUN_INTEGERS", 16384)
+    blobs = set()
+    for segment_size, workers in [
+        (16384, "1"),
+        (16384, "2"),  # seven runs, so the pool really starts; forked workers inherit the window
+        (1048576, "1"),
+        (1048576, "2"),
+    ]:
+        monkeypatch.setattr(mertens.sieve, "SEGMENT_SIZE", segment_size)
+        code, out, _ = run_cli(["verify", "--n-max", "1e5", "--workers", workers], capsys)
+        assert code == 0
+        blobs.add(out)
+    assert len(blobs) == 1
+
+
 def test_scientific_notation_flags(capsys):
     code, out, _ = run_cli(["table", "--n-max", "1e3", "--format", "csv"], capsys)
     assert code == 0

@@ -13,6 +13,7 @@ from mertens.bounds import log_spaced_integers
 from mertens.identities import (
     SequencePair,
     _smooth_values,
+    _verdict,
     abel_identity_eval,
     euler_product_check,
     factorial_log_identity,
@@ -25,6 +26,49 @@ from mertens.identities import (
 )
 from mertens.sieve import primes_array
 from mertens.sums import accumulate_checkpoints, columns_at
+
+
+# --- the verdict rule --------------------------------------------------------
+
+
+VERDICT_FIELDS = ("lhs", "rhs", "abs_diff", "rel_diff", "passed")
+
+
+def verdict_rule(lhs, rhs, tol):
+    """abs_diff, rel_diff and passed for one pair of Python floats."""
+    abs_diff = abs(lhs - rhs)
+    scale = max(abs(lhs), abs(rhs))
+    rel_diff = abs_diff / scale if scale > 0.0 else 0.0
+    return abs_diff, rel_diff, rel_diff <= tol or (abs(lhs) < 1.0 and abs_diff <= tol)
+
+
+@pytest.mark.filterwarnings("error")
+def test_verdict_is_the_scalar_rule_entry_by_entry():
+    tol = 2.0**-40
+    pairs = [
+        (0.0, 0.0),  # both sides 0: rel_diff 0, and no divide-by-zero warning
+        (-0.0, 0.0),
+        (1e-14, 3e-14),  # |lhs| < 1, abs_diff <= tol, rel_diff > tol: passes
+        (1e-14, 0.0),
+        (0.0, 1e-14),
+        (2.0, 2.0 - 2.0**-39),  # rel_diff exactly tol: passes
+        (2.0, 2.0 - 2.0**-38),  # rel_diff 2 tol, |lhs| >= 1: the one failure
+        (-3.0, -3.0),
+        (1e300, 1e300 * (1.0 + 2.0**-52)),
+    ]
+    lhs, rhs = (np.array(side) for side in zip(*pairs))
+    v = _verdict(lhs, rhs, tol)
+    assert v.lhs is lhs and v.rhs is rhs
+    assert v.passed.dtype == bool
+    for i, (a, b) in enumerate(pairs):
+        assert (v.abs_diff[i], v.rel_diff[i], v.passed[i]) == verdict_rule(a, b, tol), (a, b)
+    assert v.rel_diff[5] == tol
+    assert v.passed.tolist() == [True] * 6 + [False] + [True] * 2
+
+
+def test_verdict_fails_a_nan_side():
+    for lhs, rhs in ((np.nan, 1.0), (1.0, np.nan), (np.nan, 0.0), (0.0, np.nan)):
+        assert not _verdict(np.array([lhs]), np.array([rhs]), 1e-12).passed[0], (lhs, rhs)
 
 
 # --- -ln(1-x) <= x + x^2 ---------------------------------------------------
@@ -48,6 +92,7 @@ def test_log_bound_at_quarter():
     assert math.isclose(v.lhs, 0.2876820724517809, rel_tol=1e-15)
     assert v.rhs == 0.3125
     assert v.passed
+    assert [type(getattr(v, name)) for name in VERDICT_FIELDS] == [float] * 4 + [bool]
 
 
 def test_log_bound_holds_on_grid():
@@ -77,6 +122,7 @@ def test_abel_linear_sequences_hand_value():
     v = abel_identity_eval(seq)
     assert v.lhs == 6.0
     assert v.rhs == 6.0
+    assert [type(getattr(v, name)) for name in VERDICT_FIELDS] == [float] * 4 + [bool]
 
 
 def test_abel_thousand_random_pairs():
@@ -149,8 +195,9 @@ def test_stieltjes_at_1e5():
 
 def test_stieltjes_small_grid():
     xs = stieltjes_grid(10**4, primes_array(10**3))
-    results = stieltjes_scan(accumulate_checkpoints(xs[-1], xs), primes_array(xs[-1]))
-    assert all(v.rel_diff <= 1e-12 for _, v in results)
+    v = stieltjes_scan(accumulate_checkpoints(xs[-1], xs), primes_array(xs[-1]))
+    assert len(v.rel_diff) == len(xs)
+    assert np.all(v.rel_diff <= 1e-12)
 
 
 def stieltjes_grid_reference(limit, primes):
@@ -207,21 +254,28 @@ def test_stieltjes_scan_is_bitwise_the_per_point_sum():
     )
     for xs in (grid, [2, 10**4, 10**5], [2, 2, 3, 3, 3, 10**4, 10**4, 99_991, 10**5, 10**5]):
         cols = columns_at(accumulate_checkpoints(10**5, sorted(set(xs))), xs)
-        results = stieltjes_scan(cols, primes)
-        assert [x for x, _ in results] == xs
-        got = np.array([v.rhs for _, v in results])
+        v = stieltjes_scan(cols, primes)
+        assert len(v.rhs) == len(xs)
         want = np.array([stieltjes_rhs_reference(x, primes) for x in xs])
-        assert got.tobytes() == want.tobytes()
-        assert all(v.lhs == s for (_, v), s in zip(results, cols["s"].tolist()))
+        assert v.rhs.tobytes() == want.tobytes()
+        assert v.lhs.tobytes() == cols["s"].tobytes()
+
+
+def assert_is_entry(one, cols, i):
+    """one holds entry i of the column verdict cols, field by field, as Python scalars."""
+    for name in VERDICT_FIELDS:
+        got, want = getattr(one, name), getattr(cols, name)[i]
+        assert type(got) is (bool if name == "passed" else float), name
+        assert got == want, (name, i)
 
 
 def test_stieltjes_check_is_the_scan_at_one_point():
     xs = [2, 3, 4, 120, 127, 9973, 10**4]
     primes = primes_array(10**4)
     cols = accumulate_checkpoints(10**4, xs)
-    results = stieltjes_scan(cols, primes)
-    for (x, v), s in zip(results, cols["s"].tolist()):
-        assert stieltjes_identity_check(x, primes, s) == v
+    v = stieltjes_scan(cols, primes)
+    for i, (x, s) in enumerate(zip(xs, cols["s"].tolist())):
+        assert_is_entry(stieltjes_identity_check(x, primes, s), v, i)
 
 
 # --- Legendre's formula ----------------------------------------------------
@@ -287,12 +341,15 @@ def test_factorial_log_scan_equals_per_n_fsum_bitwise():
     primes = primes_array(10**5)
     # A run from 1, a repeat, a run after a jump, and lone jumps.
     ns = list(range(1, 400)) + [1000, 1000, 1001, 1002, 1003, 2000, 10**4, 10**5]
-    checks = factorial_log_scan(ns, primes)
-    assert len(checks) == len(ns)
-    for n, check in zip(ns, checks):
-        assert (check.identity.lhs, check.identity.rhs) == per_n_fsum_sides(n, primes), n
+    c = factorial_log_scan(ns, primes)
+    assert len(c.identity.lhs) == len(c.stirling_ratio) == len(ns)
+    for n, lhs, rhs in zip(ns, c.identity.lhs.tolist(), c.identity.rhs.tolist()):
+        assert (lhs, rhs) == per_n_fsum_sides(n, primes), n
     for n in (1, 2, 397, 10**5):
-        assert factorial_log_identity(n, primes) == checks[ns.index(n)]
+        one, i = factorial_log_identity(n, primes), ns.index(n)
+        assert_is_entry(one.identity, c.identity, i)
+        assert type(one.stirling_ratio) is float and one.stirling_ratio == c.stirling_ratio[i]
+        assert type(one.stirling_ok) is bool and one.stirling_ok == c.stirling_ok[i]
 
 
 @pytest.mark.parametrize("chunk", [1, 64, mertens.identities.FACTORIAL_CHUNK])
@@ -303,11 +360,11 @@ def test_factorial_log_scan_is_bitwise_at_every_chunk_size(monkeypatch, chunk):
     primes = primes_array(5 * 10**4)
     ns = [1, 1, 2, 3, 3, 4, 60, 61, 62, 62, 63, 300, 313, 314, 315, 1000, 1000]
     ns += list(range(2980, 3020)) + [7919, 7920, 10**4, 10**4, 5 * 10**4]
-    checks = factorial_log_scan(ns, primes)
-    assert len(checks) == len(ns)
-    for n, check in zip(ns, checks):
-        assert (check.identity.lhs, check.identity.rhs) == per_n_fsum_sides(n, primes), n
-        assert check.identity.passed and check.stirling_ok
+    c = factorial_log_scan(ns, primes)
+    assert len(c.identity.lhs) == len(ns)
+    for n, lhs, rhs in zip(ns, c.identity.lhs.tolist(), c.identity.rhs.tolist()):
+        assert (lhs, rhs) == per_n_fsum_sides(n, primes), n
+    assert c.identity.passed.all() and c.stirling_ok.all()
 
 
 def test_factorial_log_scan_memory_is_bounded():
@@ -325,9 +382,15 @@ def test_factorial_log_scan_memory_is_bounded():
 
 def test_factorial_log_scan_needs_ascending_n_from_one():
     primes = primes_array(100)
-    for ns in ([], [0, 5], [5, 4], [-3]):
-        with pytest.raises(ValueError):
-            factorial_log_scan(ns, primes)
+    for ns in ([], [0, 5], [5, 4], [-3], [2**23 + 1], [2**40]):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                factorial_log_scan(ns, primes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20, (ns, peak)  # refused before the ln j terms to n exist
 
 
 def test_factorial_log_domain_error():
