@@ -1,7 +1,8 @@
 """Command-line front end: table, verify, estimate-b, extrapolate.
 
-argparse converts every flag value; one writer renders table, estimate-b and
-extrapolate as text, csv or json; verify prints one list of check results.
+argparse converts every flag value and picks the command.  Each command returns
+its exit code and text (table, estimate-b and extrapolate in --format text, csv
+or json); main is the one writer for all four, into stdout or the --out file.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 resource exhaustion (sieve cap exceeded, or out of memory).
@@ -82,19 +83,23 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", dest="output_path", default=None, metavar="PATH")
 
     table = sub.add_parser("table", help="sums and prime counts at checkpoints")
+    table.set_defaults(run=_run_table)
     add_sieve(table, DEFAULT_TABLE_N_MAX)
     add_output(table)
     table.add_argument("--checkpoints", type=_checkpoints, default=None, metavar="a,b,c")
 
     # verify writes only its text report to stdout, so it takes no output flags.
     verify = sub.add_parser("verify", help="run every identity and bound check")
+    verify.set_defaults(run=_run_verify)
     add_sieve(verify, DEFAULT_VERIFY_N_MAX)
 
     est = sub.add_parser("estimate-b", help="S(x) - ln ln x at x = --n-max")
+    est.set_defaults(run=_run_estimate_b)
     add_sieve(est, DEFAULT_TABLE_N_MAX)
     add_output(est)
 
     extra = sub.add_parser("extrapolate", help="ln ln x + B from log10(x) alone")
+    extra.set_defaults(run=_run_extrapolate)
     extra.add_argument("--log10-x", type=float, required=True, metavar="V")
     add_output(extra)
     return parser
@@ -105,22 +110,22 @@ def _decade_checkpoints(n_max: int) -> list[int]:
     return [10**k for k in range(1, len(str(max(n_max, 0))))]
 
 
-def _write(
+def _render(
     args: argparse.Namespace, text: str, fields: tuple, rows: list[tuple], payload: dict
-) -> None:
-    """Write the --format form of one result to args.out (see _open_out)."""
+) -> str:
+    """The --format form of one result: the text, csv of fields and rows, or json of payload."""
     if args.output_format == "json":
-        text = json.dumps(payload, separators=(",", ":")) + "\n"
-    elif args.output_format == "csv":
+        return json.dumps(payload, separators=(",", ":")) + "\n"
+    if args.output_format == "csv":
         lines = [",".join(fields), *(",".join(map(repr, row)) for row in rows)]
-        text = "\n".join(lines) + "\n"
-    args.out.write(text)
+        return "\n".join(lines) + "\n"
+    return text
 
 
 _TABLE_FIELDS = ("x", "pi", "s", "a", "s_minus_lnln", "extrapolated")
 
 
-def _run_table(args: argparse.Namespace) -> int:
+def _run_table(args: argparse.Namespace) -> tuple[int, str]:
     pts = args.checkpoints
     if pts is None:
         pts = _decade_checkpoints(args.n_max)
@@ -143,11 +148,10 @@ def _run_table(args: argparse.Namespace) -> int:
         "meta": {"n_max": args.n_max, "version": __version__},
         "rows": [dict(zip(_TABLE_FIELDS, row)) for row in rows],
     }
-    _write(args, text, _TABLE_FIELDS, rows, payload)
-    return EXIT_OK
+    return EXIT_OK, _render(args, text, _TABLE_FIELDS, rows, payload)
 
 
-def _run_estimate_b(args: argparse.Namespace) -> int:
+def _run_estimate_b(args: argparse.Namespace) -> tuple[int, str]:
     n_max = args.n_max
     cols = accumulate_checkpoints(n_max, [n_max], workers=args.workers, sums=("s",))
     b_hat = bounds.estimate_mertens_B(n_max, cols["s"].item())
@@ -155,16 +159,14 @@ def _run_estimate_b(args: argparse.Namespace) -> int:
     text = f"b_estimate({n_max}) = {b_hat:.15f} (within {width:.3e} of B)\n"
     fields = ("x", "b_estimate", "halfwidth")
     row = (n_max, b_hat, width)
-    _write(args, text, fields, [row], dict(zip(fields, row)))
-    return EXIT_OK
+    return EXIT_OK, _render(args, text, fields, [row], dict(zip(fields, row)))
 
 
-def _run_extrapolate(args: argparse.Namespace) -> int:
+def _run_extrapolate(args: argparse.Namespace) -> tuple[int, str]:
     value = bounds.extrapolate_sum(args.log10_x)
     fields = ("log10_x", "extrapolated")
     row = (args.log10_x, value)
-    _write(args, f"{value:.2f}\n", fields, [row], dict(zip(fields, row)))
-    return EXIT_OK
+    return EXIT_OK, _render(args, f"{value:.2f}\n", fields, [row], dict(zip(fields, row)))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +309,7 @@ def _note_b_estimate(n_max: int, cols) -> CheckResult:
     )
 
 
-def _run_verify(args: argparse.Namespace) -> int:
+def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
     n_max = args.n_max
     if n_max < bounds.RS_MIN_N:
         raise ValueError(
@@ -347,22 +349,11 @@ def _run_verify(args: argparse.Namespace) -> int:
         _note_b_estimate(n_max, cols),
     ]
     failures = sum(1 for c in results if c.gating and not c.passed)
-    for c in results:
-        status = ("PASS" if c.passed else "FAIL") if c.gating else "NOTE"
-        print(f"{status:<4} {c.name:<38} {c.detail}")
-    print(
-        f"verify: n_max={n_max} checks={len(results)} "
-        f"failures={failures} -> exit {EXIT_VERIFY_FAILED if failures else EXIT_OK}"
-    )
-    return EXIT_VERIFY_FAILED if failures else EXIT_OK
-
-
-COMMANDS = {
-    "table": _run_table,
-    "verify": _run_verify,
-    "estimate-b": _run_estimate_b,
-    "extrapolate": _run_extrapolate,
-}
+    code = EXIT_VERIFY_FAILED if failures else EXIT_OK
+    status = lambda c: ("PASS" if c.passed else "FAIL") if c.gating else "NOTE"
+    lines = [f"{status(c):<4} {c.name:<38} {c.detail}" for c in results]
+    lines.append(f"verify: n_max={n_max} checks={len(results)} failures={failures} -> exit {code}")
+    return code, "\n".join(lines) + "\n"
 
 
 def _open_out(args: argparse.Namespace) -> contextlib.AbstractContextManager:
@@ -379,10 +370,12 @@ def _open_out(args: argparse.Namespace) -> contextlib.AbstractContextManager:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        with _open_out(args) as args.out:
+        with _open_out(args) as out:
             if args.command != "extrapolate":  # refuse what the sieve would, before any work
                 _check_request(args.n_max, args.workers)
-            return COMMANDS[args.command](args)
+            code, text = args.run(args)
+            out.write(text)
+            return code
     except SieveLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -165,21 +165,17 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
-def _vp_unchecked(n: int, p: int) -> int:
+def legendre_vp(n: int, p: int) -> int:
+    """Exponent of the prime p in n!, i.e. sum of floor(n / p^k)."""
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    _require_prime(p)
     total = 0
     q = p
     while q <= n:
         total += n // q
         q *= p
     return total
-
-
-def legendre_vp(n: int, p: int) -> int:
-    """Exponent of the prime p in n!, i.e. sum of floor(n / p^k)."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    _require_prime(p)
-    return _vp_unchecked(n, p)
 
 
 @dataclass
@@ -226,9 +222,10 @@ def factorial_log_scan(ns: Sequence[int], primes: np.ndarray) -> FactorialLogChe
     Also reports the weak-Stirling ratio, which stays in [-1, 0] because
     (n/e)^n <= n! <= n^n; n ln n takes ln n from math.log.
     """
-    cuts = np.asarray(ns, dtype=np.int64) - 1  # ln 2 .. ln n are the first n - 1 terms
-    if len(cuts) == 0 or cuts[0] < 0 or cuts[-1] >= 1 << 23 or np.any(cuts[1:] < cuts[:-1]):
+    given = np.asarray(ns)  # checked before the int64 cast, which n >= 2**63 would overflow
+    if len(given) == 0 or given[0] < 1 or given[-1] > 1 << 23 or np.any(given[1:] < given[:-1]):
         raise ValueError("factorial_log_scan needs ascending n with 1 <= n <= 2**23")
+    cuts = given.astype(np.int64) - 1  # ln 2 .. ln n are the first n - 1 terms
     logs = np.log(np.arange(2, cuts[-1] + 2, dtype=np.float64))
     lhs = round_limbs(prefix_limbs([logs], cuts))[0]
     n_rows = cuts + 1

@@ -43,6 +43,8 @@ GRID_LIMBS = 6
 # --n-max 1e7's points, 2**11 ran slower, 2**13 faulted 2-4x the pages and 2**14
 # peaked 9 MB higher), and a 1 / (RUNS_PER_WORKER W) share of the integers for W
 # workers, but never fewer than RUN_INTEGERS unless its points or the pass end it.
+# RUNS_PER_WORKER = 1 was slower: table --n-max 1e9 --workers 2 took 2.66 s against
+# 2.38 s (4 of 4 pairs, 2-core VM).
 RUN_POINTS = 1 << 12
 RUNS_PER_WORKER = 4
 RUN_INTEGERS = 1 << 20
@@ -247,6 +249,7 @@ def _pooled(fn: Callable, tasks: Iterable[tuple], procs: int) -> Iterator:
 
     The workers never call BLAS: each sets OPENBLAS_NUM_THREADS=1 for itself
     before it loads numpy, so numpy's OpenBLAS starts on one thread there.
+    Pool.imap here peaked at 56.3 MB, not 53.9, on verify --n-max 1e7 --workers 2 (2-core VM).
     """
     import multiprocessing  # here, not at the top: a single-process run never needs it
 

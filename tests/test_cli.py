@@ -205,6 +205,11 @@ def test_resource_exhaustion_exit_3(monkeypatch, capsys):
         ), argv
         spelled[argv[2]] = err
     assert spelled["1e16"] == spelled["10000000000000000"]
+    # A checkpoint past the int64 range is past the cap, alone or not.
+    for given in ("9223372036854775808", "10,9223372036854775808"):
+        code, out, err = run_cli(["table", "--n-max", "100", "--checkpoints", given], capsys)
+        assert (code, out) == (3, ""), given
+        assert err == f"error: checkpoints must lie in [0, {MAX_SIEVE_BOUND}], the sieve maximum\n"
 
 
 def test_resource_ceilings_exit_3(monkeypatch, capsys):
@@ -322,6 +327,20 @@ def test_verify_small_scale_passes(capsys):
     assert "rs_envelope_symmetric" in out
     assert "NOTE rs_envelope_asymmetric_upper" in out
     assert "exit 0" in out
+
+
+def test_verify_failure_exits_1(monkeypatch, capsys):
+    failing = mertens.cli.CheckResult("log_one_minus_bound", False, "points=1025 forced")
+    monkeypatch.setattr(mertens.cli, "_check_log_bound_grid", lambda: failing)
+    code, out, _ = run_cli(["verify", "--n-max", "300"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert f"{'FAIL':<4} {'log_one_minus_bound':<38} points=1025 forced" in lines
+    assert [line for line in lines if line.startswith("FAIL")] == [lines[0]]
+    # The informational RS variant fails at n = 300 too, but a NOTE is not counted.
+    note = next(line for line in lines if line.startswith("NOTE rs_envelope_asymmetric_upper"))
+    assert "violations=15" in note
+    assert lines[-1] == "verify: n_max=300 checks=16 failures=1 -> exit 1"
 
 
 def test_verify_rejects_format_flag(capsys):

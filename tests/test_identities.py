@@ -382,7 +382,7 @@ def test_factorial_log_scan_memory_is_bounded():
 
 def test_factorial_log_scan_needs_ascending_n_from_one():
     primes = primes_array(100)
-    for ns in ([], [0, 5], [5, 4], [-3], [2**23 + 1], [2**40]):
+    for ns in ([], [0, 5], [5, 4], [-3], [2**23 + 1], [2**40], [10**19], [5, 10**30]):
         tracemalloc.start()
         try:
             with pytest.raises(ValueError):

@@ -499,9 +499,20 @@ def test_checkpoint_validation():
     with pytest.raises(ValueError, match="7.5"):
         accumulate_checkpoints(100, np.array([3.0, 7.5]))
     assert accumulate_checkpoints(100, [10.0, 20])["x"].tolist() == [10, 20]  # integral floats pass
+    unsigned = np.array([10, 20], dtype=np.uint64)
+    assert accumulate_checkpoints(100, unsigned)["x"].tolist() == [10, 20]
     # Past the int64 range, or not finite, a float is refused before the int64
     # cast, which would warn and wrap.
-    for beyond in ([2**70], [5, 10**30], np.array([5.0, 1e30]), [5.0, 1e30], [-1e30]):
+    # So is an unsigned integer: numpy reads a lone int in [2**63, 2**64) as uint64.
+    for beyond in (
+        [2**70],
+        [5, 10**30],
+        np.array([5.0, 1e30]),
+        [5.0, 1e30],
+        [-1e30],
+        [2**63],
+        np.array([5, 2**63], dtype=np.uint64),
+    ):
         with pytest.raises(sieve.SieveLimitError, match="sieve maximum"):
             accumulate_checkpoints(100, beyond)
     for non_finite, named in (
