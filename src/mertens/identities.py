@@ -209,7 +209,7 @@ def _factorial_exponents(ns: np.ndarray, ps: np.ndarray) -> np.ndarray:
 
 
 def factorial_log_scan(ns: Sequence[int], primes: np.ndarray) -> FactorialLogCheck:
-    """factorial_log_identity at each n of ns, ascending, 1 <= n <= 2**23, as columns.
+    """factorial_log_identity at each integer n of ns, ascending, 1 <= n <= 2**23, as columns.
 
     lhs = sum of ln j for j = 2..n, every one read from one exact prefix sum
     of the np.log terms (n = 1 gives 0), so each is correctly rounded.
@@ -225,6 +225,8 @@ def factorial_log_scan(ns: Sequence[int], primes: np.ndarray) -> FactorialLogChe
     given = np.asarray(ns)  # checked before the int64 cast, which n >= 2**63 would overflow
     if len(given) == 0 or given[0] < 1 or given[-1] > 1 << 23 or np.any(given[1:] < given[:-1]):
         raise ValueError("factorial_log_scan needs ascending n with 1 <= n <= 2**23")
+    if (cut := np.flatnonzero(given % 1)).size:  # a fraction the int64 cast would truncate
+        raise ValueError(f"factorial_log_scan needs integers n, got {given[cut[0]].item()!r}")
     cuts = given.astype(np.int64) - 1  # ln 2 .. ln n are the first n - 1 terms
     logs = np.log(np.arange(2, cuts[-1] + 2, dtype=np.float64))
     lhs = round_limbs(prefix_limbs([logs], cuts))[0]

@@ -1,10 +1,11 @@
 """Segmented sieve of Eratosthenes streaming primes in deterministic order.
 
 The sieve walks fixed-size windows of a run of the integer line, keeping
-only odd residues in memory (one boolean per odd number), and hands each
-window on in ascending pieces of at most PIECE integers, so no consumer
-array grows with the window.  It is serial: mertens.sums cuts a pass into
-runs and gives each run its own stream, in one process or in a pool.
+in memory one boolean for each integer prime to 6 (a 6k±1 wheel, one flag
+per three integers), and hands each window on in ascending pieces of at
+most PIECE integers, so no consumer array grows with the window.  It is
+serial: mertens.sums cuts a pass into runs and gives each run its own
+stream, in one process or in a pool.
 """
 
 from __future__ import annotations
@@ -15,23 +16,21 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-# Integers per sieve window; 512 KiB of odd flags.  A wider window crosses
-# off each base prime in fewer Python slices: at 2**21, table --n-max 1e8
-# ran ~6 % faster than at 2**20 but peaked ~1.4 MB higher (2-core VM).
-# iter_prime_arrays reads it at each call, so a test may patch it; no output
-# depends on it.
-SEGMENT_SIZE = 1 << 20
+# Integers per sieve window, a multiple of 6: 2**20 wheel flags, 1 MiB.  A
+# wider window crosses off each base prime in fewer Python slices, a narrower
+# one stays in cache: in process at 1e8, 3 * 2**21 took 0.279 s and 3 * 2**19
+# 0.258 s against 0.221 s here (2-core VM).  iter_prime_arrays reads it at
+# each call, so a test may patch it; no output depends on it.
+SEGMENT_SIZE = 3 << 20
 # iter_prime_arrays yields a window's primes in pieces of at most PIECE
-# integers, so term rows and limb buffers downstream stay this size.  Whole
-# windows (PIECE = SEGMENT_SIZE) took 0.516 s against 0.466 s on perfbench's
-# seed-1 table-1e8 (slower in 9 of 10 pairs, 2-core VM) and peaked 1.8 MB higher.
-PIECE = 1 << 18
+# integers (a multiple of 6), so term rows and limb buffers stay this size.
+# Whole windows of the odd-only sieve were slower on perfbench's seed-1
+# table-1e8 (0.516 s against 0.466 s, 9 of 10 pairs, 2-core VM).
+PIECE = 3 << 18
 # Resource ceilings: the largest sieve bound; each worker is one process,
-# holding one window of SEGMENT_SIZE / 2 flags.
+# holding one window of SEGMENT_SIZE / 3 flags.
 MAX_SIEVE_BOUND = 1 << 40
 MAX_WORKERS = 64
-
-_TWO = np.array([2], dtype=np.int64)
 
 
 class SieveLimitError(RuntimeError):
@@ -56,26 +55,26 @@ def base_odd_primes(limit: int) -> np.ndarray:
     """Odd primes <= limit (int64 array), sieved by the odd primes <= sqrt(limit)."""
     if limit < 3:
         return np.empty(0, dtype=np.int64)
-    mask = _odd_mask(3, limit + 1, base_odd_primes(math.isqrt(limit)))
-    return 3 + 2 * np.flatnonzero(mask).astype(np.int64)
+    mask = _wheel_mask(0, limit + 1, base_odd_primes(math.isqrt(limit)))
+    mask[0] = False  # flag 0 is 1
+    return np.concatenate([[3], (3 * np.flatnonzero(mask) + 1) | 1])
 
 
-def _odd_mask(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
-    """Prime flags for the odd numbers in [lo, hi), lowest first.
+def _wheel_mask(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
+    """Prime flags for [lo, hi), lo a multiple of 6: flag i for lo + 3i + 1 + (i & 1).
 
-    base_primes holds the odd primes <= sqrt(hi - 1), ascending.  Each one's
-    first odd multiple >= max(p^2, lo) is p q, q the least odd cofactor
-    >= max(p, lo / p), found for all of them in one numpy step; the only
-    Python per prime is one slice assignment, empty when p q >= hi.
+    base_primes holds the odd primes <= sqrt(hi - 1), ascending; all but 3
+    cross off.  The multiples p q >= max(p^2, lo) of each with q = 1 and
+    q = 5 (mod 6) are two slices of step 2 p; the least q of each class comes
+    for every p in one numpy step, so the only Python per prime is two slices.
     """
-    first = lo | 1
-    mask = np.ones(max((hi - first + 1) // 2, 0), dtype=bool)
-    if len(mask) == 0:
-        return mask
-    ps = base_primes[: np.searchsorted(base_primes, math.isqrt(hi - 1), side="right")]
-    cofactors = np.maximum(ps, -(-first // ps)) | 1
-    for i, p in zip(((ps * cofactors - first) // 2).tolist(), ps.tolist()):
-        mask[i::p] = False
+    mask = np.ones((hi - lo + 4) // 6 + (hi - lo) // 6, dtype=bool)
+    ps = base_primes[1 : np.searchsorted(base_primes, math.isqrt(hi - 1), side="right")]
+    q = np.maximum(ps, -(-lo // ps))
+    ones, fives = ((ps * (q + (r - q) % 6) - lo) // 3 for r in (1, 5))
+    for step, i, j in zip((2 * ps).tolist(), ones.tolist(), fives.tolist()):
+        mask[i::step] = False
+        mask[j::step] = False
     return mask
 
 
@@ -84,25 +83,31 @@ def iter_prime_arrays(n: int, *, start: int = 0) -> Iterator[tuple[int, int, np.
 
     Each tuple asserts "every prime in [lo, hi) is in this array"; the union
     of coverages is [start, n + 1), so a consumer can finalize a point x as
-    soon as a piece with hi > x has been consumed.  Windows of SEGMENT_SIZE
-    from max(start, 3) come as pieces of at most PIECE integers.
+    soon as a piece with hi > x has been consumed.  2, 3 and 5 come in a
+    head piece [start, 6); windows of SEGMENT_SIZE from the multiple of 6 at
+    or below max(start, 6) come as pieces of at most PIECE integers.
     """
     _check_request(n)
-    if start < min(3, n + 1):
-        yield start, min(3, n + 1), _TWO[: int(n >= 2)]
-    base = base_odd_primes(math.isqrt(n))
     size = SEGMENT_SIZE
-    for lo in range(max(start, 3), n + 1, size):
+    if size <= 0 or size % 6 or PIECE <= 0 or PIECE % 6:
+        raise ValueError(f"sieve window {size} and piece {PIECE} must be positive multiples of 6")
+    if start < min(6, n + 1):
+        head = [p for p in (2, 3, 5) if start <= p <= n]
+        yield start, min(6, n + 1), np.array(head, dtype=np.int64)
+    base = base_odd_primes(math.isqrt(n))
+    for lo in range(max(start - start % 6, 6), n + 1 if start <= n else 0, size):
         hi = min(lo + size, n + 1)
-        mask = _odd_mask(lo, hi, base)
-        # PIECE is even, so every piece starts at the parity of lo, and its
-        # first odd number is flag (piece_lo - lo) / 2.
+        mask = _wheel_mask(lo, hi, base)
+        mask[: max(start - lo + 4, 0) // 6] = False  # lo + 1 if it lies below start
+        # PIECE is a multiple of 6, so flag k of the piece at piece_lo stands
+        # for piece_lo + 3k + 1 + (k & 1) = (piece_lo + 3k + 1) | 1.
         for piece_lo in range(lo, hi, PIECE):
-            offset = (piece_lo - lo) // 2
-            primes = np.flatnonzero(mask[offset : offset + PIECE // 2])
-            primes *= 2
-            primes += piece_lo | 1
-            yield piece_lo, min(piece_lo + PIECE, hi), primes
+            offset = (piece_lo - lo) // 3
+            primes = np.flatnonzero(mask[offset : offset + PIECE // 3])
+            primes *= 3
+            primes += piece_lo + 1
+            primes |= 1
+            yield max(piece_lo, start), min(piece_lo + PIECE, hi), primes
 
 
 def iter_checkpoint_events(

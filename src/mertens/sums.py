@@ -110,10 +110,12 @@ def prefix_limbs(
 
     Each row is split in passes from its top bit 2**top: scale it so that
     the next LIMB_BITS bits lie above the point, h = trunc(row), row -= h,
-    all exact, until every remainder is zero.  Per pass,
-    np.add.reduceat sums the integer limbs h between consecutive cuts:
-    integers below 2**53, so float64 holds them exactly.  They are shifted
-    onto the grid, summed along the cuts, and carried.
+    all exact.  A row of positive terms has no bit below 2**(e - 53), e its
+    least term's exponent, so its last pass is known and takes its whole
+    remainders as h; a row with a zero passes until every remainder is zero.
+    np.add.reduceat sums each pass's limbs h between cuts: integers below
+    2**53, exact in float64.  They are shifted onto the grid, summed along
+    the cuts, and carried.
     """
     starts = np.concatenate(([0], cuts[:-1]))
     nonempty = starts < cuts  # an empty piece's reduceat entry would be a term, not 0
@@ -130,21 +132,25 @@ def prefix_limbs(
         # a piece sum a adds a >> (LIMB_BITS - d) to limb j - 1 and its low bits, times 2**d, to limb j.
         d = top % LIMB_BITS
         j, scale = (d - top) // LIMB_BITS + 1, 2.0 ** (LIMB_BITS - top)
+        least = float(row.min(initial=math.inf))  # passes: ceil((top - e + 53) / LIMB_BITS), or -1
+        passes = -((math.frexp(least)[1] - top - 53) // LIMB_BITS) if 0 < least < math.inf else -1
         h = np.empty_like(row)
         while True:
             row *= scale
-            # trunc, not floor: the two agree on these nonnegative terms, but only trunc
-            # keeps row -= h exact for a negative one (-2**-60 - floor(-2**-60) rounds to 1).
-            np.trunc(row, out=h)
-            row -= h
-            pieces[nonempty] = np.add.reduceat(h, starts)
+            passes -= 1
+            if passes:
+                # trunc, not floor: the two agree on these nonnegative terms, but only trunc
+                # keeps row -= h exact for a negative one (-2**-60 - floor(-2**-60) rounds to 1).
+                np.trunc(row, out=h)
+                row -= h
+            pieces[nonempty] = np.add.reduceat(h if passes else row, starts)
             a = pieces.astype(np.int64)
             high, low = a >> (LIMB_BITS - d), (a & ((1 << (LIMB_BITS - d)) - 1)) << d
             if j >= GRID_LIMBS and (low.any() or (j > GRID_LIMBS and high.any())):
                 raise ValueError("every bit of every term must be at least 2**-150")
             limbs[min(j - 1, GRID_LIMBS - 1), i] += high  # a part past the grid is 0 here
             limbs[min(j, GRID_LIMBS - 1), i] += low
-            if not row.any():
+            if not passes or (passes < 0 and not row.any()):
                 break
             j, scale = j + 1, _LIMB
     np.cumsum(limbs, axis=2, out=limbs)

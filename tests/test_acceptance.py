@@ -272,9 +272,9 @@ def test_criterion_09_byte_identical_json(monkeypatch, tmp_path):
     blobs = set()
     runs = 0
     for workers in ("1", "4", "16"):
-        for segment_size in (1 << 14, 1 << 18, 1 << 20):
+        for segment_size in (16386, 3 << 16, 3 << 20):
             # Forked pool workers inherit the patched window; spawned ones sieve
-            # in 2**20 windows, and the bytes must agree all the same.
+            # in 3 * 2**20 windows, and the bytes must agree all the same.
             monkeypatch.setattr(sieve, "SEGMENT_SIZE", segment_size)
             path = tmp_path / f"t_{workers}_{segment_size}.json"
             code = main(

@@ -87,9 +87,9 @@ def test_table_bytes_stable_across_segmentation_and_workers(monkeypatch, tmp_pat
     monkeypatch.setattr(mertens.sums, "RUN_INTEGERS", 16384)
     blobs = set()
     for segment_size, workers in [
-        (16384, "1"),
-        (16384, "2"),  # seven runs, so the pool really starts; forked workers inherit the window
-        (1048576, "1"),
+        (16386, "1"),
+        (16386, "2"),  # seven runs, so the pool really starts; forked workers inherit the window
+        (3 << 20, "1"),
     ]:
         monkeypatch.setattr(mertens.sieve, "SEGMENT_SIZE", segment_size)
         path = tmp_path / f"t{segment_size}_{workers}.json"
@@ -116,10 +116,10 @@ def test_verify_bytes_stable_across_segmentation_and_workers(monkeypatch, capsys
     monkeypatch.setattr(mertens.sums, "RUN_INTEGERS", 16384)
     blobs = set()
     for segment_size, workers in [
-        (16384, "1"),
-        (16384, "2"),  # seven runs, so the pool really starts; forked workers inherit the window
-        (1048576, "1"),
-        (1048576, "2"),
+        (16386, "1"),
+        (16386, "2"),  # seven runs, so the pool really starts; forked workers inherit the window
+        (3 << 20, "1"),
+        (3 << 20, "2"),
     ]:
         monkeypatch.setattr(mertens.sieve, "SEGMENT_SIZE", segment_size)
         code, out, _ = run_cli(["verify", "--n-max", "1e5", "--workers", workers], capsys)

@@ -393,6 +393,21 @@ def test_factorial_log_scan_needs_ascending_n_from_one():
         assert peak <= 1 << 20, (ns, peak)  # refused before the ln j terms to n exist
 
 
+def test_factorial_log_scan_refuses_a_fraction():
+    # A fraction is refused before the int64 cast, which would truncate 2.5 to
+    # the n = 2 row; an integral float still gives its row.
+    primes = primes_array(100)
+    for ns, named in (([2.5], "2.5"), ([1, 2, 2.5, 3], "2.5"), (np.array([3.0, 7.25]), "7.25")):
+        with pytest.raises(ValueError, match=named):
+            factorial_log_scan(ns, primes)
+    three = factorial_log_scan([3.0], primes)
+    want = factorial_log_scan([3], primes)
+    assert three.identity.lhs.tolist() == want.identity.lhs.tolist() == [math.log(6.0)]
+    assert three.identity.rhs.tolist() == want.identity.rhs.tolist()
+    with pytest.raises(ValueError):
+        factorial_log_scan([10**19], primes)
+
+
 def test_factorial_log_domain_error():
     with pytest.raises(ValueError):
         factorial_log_identity(0, primes_array(10))

@@ -59,7 +59,7 @@ def test_segment_size_independence(monkeypatch):
     rng = random.Random(1905)
     for n in [rng.randint(10**6, 10**7) for _ in range(2)] + [10**7]:
         streams = []
-        for size in (1024, 65536, 1 << 20):
+        for size in (1026, 65538, 3 << 20):
             monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
             streams.append(primes_array(n))
         assert np.array_equal(streams[0], streams[1])
@@ -96,7 +96,7 @@ def test_segment_boundaries_against_trial_division():
     # Integers straddling the first few window and piece boundaries against
     # trial division; every integer up to the last against a dense sieve.
     sizes = (sieve.SEGMENT_SIZE, sieve.PIECE)
-    boundaries = [3 + size * k for size in sizes for k in (1, 2, 3)]
+    boundaries = [6 + size * k for size in sizes for k in (1, 2, 3)]
     hi = max(boundaries) + 40
     primes = primes_array(hi)
     flags = np.zeros(hi + 1, dtype=bool)
@@ -112,7 +112,7 @@ def test_worker_count_does_not_change_stream(monkeypatch):
     # together they give the one stream; the columns, for any worker count.
     n = 3 * 10**5
     starts = [0, 1, 2, 3, 4, 1000, 65537, n + 1]
-    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 1 << 16)  # forked pool workers inherit it
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 65538)  # forked pool workers inherit it
     arrays = [
         piece
         for start, stop in zip(starts, starts[1:])
@@ -133,12 +133,12 @@ def test_pool_under_each_start_method_gives_the_serial_stream(monkeypatch, metho
     # Workers that start from a fresh interpreter get everything from their
     # tasks, and the runs must still be added in order.  They import the
     # package afresh, so the patched window reaches the serial pass alone:
-    # the pool sieves in windows of 2**20, and the columns must still agree.
+    # the pool sieves in windows of 3 * 2**20, and the columns must still agree.
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"no {method} start method on this platform")
     monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(method).Pool)
     monkeypatch.setattr(sums, "RUN_INTEGERS", 1 << 16)
-    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 1 << 14)
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 16386)
     points = [10, 4097, 65536, 65537, 150_001, 200_000]
     serial, pooled = (accumulate_checkpoints(200_000, points, workers=w) for w in (1, 2))
     for key, col in serial.items():
@@ -150,7 +150,7 @@ def test_pool_window_smaller_than_task_count(monkeypatch):
     monkeypatch.setattr(sums, "RUN_INTEGERS", 4096)
     monkeypatch.setattr(sums, "RUNS_PER_WORKER", 1 << 40)
     points = [10, 997, 4096, 4097, 65536, 10**5]
-    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 4096)
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 4098)
     assert len(list(sums._runs(np.array(points), 4096))) == 25
     serial = accumulate_checkpoints(10**5, points, workers=1)
     pooled = accumulate_checkpoints(10**5, points, workers=2)
@@ -160,11 +160,11 @@ def test_pool_window_smaller_than_task_count(monkeypatch):
 
 
 def test_windows_come_in_bounded_pieces(monkeypatch):
-    # Windows below, at and above PIECE, one odd-sized (its pieces start on
-    # even integers), and one covering all of n; and a stream that starts at
-    # an even integer past 3.
+    # Windows below, at and above PIECE, one not a multiple of PIECE (its last
+    # piece is short), and one covering all of n; and a stream that starts off
+    # the wheel, past 6.
     n = 3 * 10**6
-    sizes = (4096, 1 << 18, 1 << 20, (1 << 20) + 7, 1 << 22)
+    sizes = (4098, 3 << 18, 3 << 19, (3 << 19) + 6, 3 << 21)
 
     def window(size):
         monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
@@ -173,19 +173,19 @@ def test_windows_come_in_bounded_pieces(monkeypatch):
     for size in sizes:
         window(size)
         streams[(size, 0)] = list(iter_prime_arrays(n))
-    window(1 << 20)
-    streams[(1 << 20, 1000)] = list(iter_prime_arrays(n, start=1000))
+    window(3 << 19)
+    streams[(3 << 19, 1000)] = list(iter_prime_arrays(n, start=1000))
     edges = set()
     for (segment_size, start), arrays in streams.items():
         assert arrays[0][0] == start and arrays[-1][1] == n + 1
         assert [hi for _, hi, _ in arrays[:-1]] == [lo for lo, _, _ in arrays[1:]]
         assert all(0 < hi - lo <= sieve.PIECE for lo, hi, _ in arrays)
         assert all(lo <= arr.min(initial=lo) <= arr.max(initial=lo) < hi for lo, hi, arr in arrays)
-        first = max(start, 3)
-        windows = {first + segment_size * k for k in range((n - first) // segment_size + 1)}
+        first = max(start - start % 6, 6)
+        windows = {max(start, first + segment_size * k) for k in range((n - first) // segment_size + 1)}
         assert windows <= {lo for lo, _, _ in arrays}  # a window edge is a piece edge
         edges |= {lo for lo, _, _ in arrays}
-    window(4096)
+    window(4098)
     want = primes_array(n)
     for (_, start), arrays in streams.items():
         got = np.concatenate([arr for _, _, arr in arrays])
@@ -216,9 +216,10 @@ def test_stream_parameter_validation(monkeypatch):
         next(iter_prime_arrays(-1))
     with pytest.raises(ValueError):
         accumulate_checkpoints(100, [10], workers=0)
-    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 0)  # a zero window is refused, never looped on
-    with pytest.raises(ValueError):
-        primes_array(100)
+    for size in (0, -6, 8, 1 << 20):  # a zero window is refused, never looped on, and so
+        monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)  # is one off the 6k±1 wheel
+        with pytest.raises(ValueError):
+            primes_array(100)
 
 
 def test_stale_positional_calls_fail_loudly():
@@ -242,54 +243,74 @@ def test_sieve_cap_is_enforced():
 
 
 def test_prime_stream_carries_configuration(monkeypatch):
-    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 8)
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 6)
     for start in (0, 1, 2, 3, 20):
         arrays = list(iter_prime_arrays(50, start=start))
         assert (arrays[0][0], arrays[-1][1]) == (start, 51)  # coverage [start, bound + 1)
         assert np.concatenate([arr for _, _, arr in arrays]).tolist() == [
             n for n in range(max(start, 2), 51) if trial_is_prime(n)
         ]
-        assert all(hi - lo <= 8 for lo, hi, _ in arrays[1:])
+        assert all(hi - lo <= 6 for lo, hi, _ in arrays[1:])
     assert [(lo, hi, arr.tolist()) for lo, hi, arr in iter_prime_arrays(1)] == [(0, 2, [])]
 
 
-def odd_mask_reference(lo, hi, base_primes):
-    """One prime at a time: the start offset worked out in Python, with fix-ups."""
-    first = lo | 1
-    count = (hi - first + 1) // 2
-    mask = np.ones(max(count, 0), dtype=bool)
-    if count <= 0:
-        return mask
+@pytest.mark.parametrize("size", [12, sieve.SEGMENT_SIZE])
+def test_stream_matches_trial_division_at_every_start(monkeypatch, size):
+    # Every start on and off the wheel, inside and just past the head piece
+    # [start, 6), in windows of 12 and of the default size.
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
+    for n in range(201):
+        want = [m for m in range(n + 1) if trial_is_prime(m)]
+        for start in range(n + 2):
+            arrays = list(iter_prime_arrays(n, start=start))
+            edges = [start, *(hi for _, hi, _ in arrays)]  # contiguous coverage [start, n + 1)
+            assert [lo for lo, _, _ in arrays] == edges[:-1] and edges[-1] == n + 1, (n, start)
+            assert all(lo < hi for lo, hi in zip(edges, edges[1:])), (n, start)
+            got = [p for _, _, arr in arrays for p in arr.tolist()]
+            assert got == [p for p in want if p >= start], (n, start)
+            assert all(lo <= p < hi for lo, hi, arr in arrays for p in arr.tolist())
+
+
+def wheel_mask_reference(lo, hi, base_primes):
+    """One prime at a time: its first two multiples prime to 6 found by stepping, then every 6p."""
+    mask = np.ones(len(range(lo + 1, hi, 6)) + len(range(lo + 5, hi, 6)), dtype=bool)
     for p in base_primes:
         p = int(p)
         if p * p >= hi:
             break
-        start = p * p
-        if start < first:
-            start = ((first + p - 1) // p) * p
-            if start % 2 == 0:
-                start += p
-        if start < hi:
-            mask[(start - first) // 2 :: p] = False
+        if p < 5:
+            continue
+        m = max(p * p, -(-lo // p) * p)
+        firsts = []
+        while len(firsts) < 2:
+            if m % 6 in (1, 5):
+                firsts.append(m)
+            m += p
+        for m in firsts:
+            if m < hi:
+                mask[(m - lo) // 3 :: 2 * p] = False
     return mask
 
 
-def test_odd_mask_matches_per_prime_reference():
+def test_wheel_mask_matches_per_prime_reference():
     base = sieve.base_odd_primes(1 << 20)
     rng = random.Random(1940)
-    windows = [(3, 3), (3, 2), (3, 4), (3, 5), (4, 6), (3, 100), (1000, 1003)]
+    windows = [(6, 6), (0, 1), (0, 2), (0, 5), (0, 6), (0, 100), (996, 1003)]
     for p in base[:40].tolist():
         sq = p * p
-        # lo below, at and above p^2; hi = p^2 and p^2 + 1
-        windows += [(sq - 2 * p, sq), (sq - 2 * p, sq + 1), (sq, sq + 1), (sq + 1, sq + 3)]
+        # lo below p^2 and at the first multiple of 6 past it; hi = p^2, p^2 + 1 and past them
+        edges = [(sq - 2 * p, sq), (sq - 2 * p, sq + 1), (sq, sq + 1), (sq + 1, sq + 3)]
+        for lo, hi in edges + [(sq + 6, sq + 12)]:
+            windows.append((lo - lo % 6, hi))
     for _ in range(150):
         lo = rng.randint(3, 10**7)
-        windows.append((lo, lo + rng.randint(0, 3 * 10**4)))
+        windows.append((lo - lo % 6, lo + rng.randint(0, 3 * 10**4)))
     top = sieve.MAX_SIEVE_BOUND
     for _ in range(6):
         hi = top - rng.randint(0, 100)
-        windows.append((hi - rng.randint(1, 2 * 10**5), hi))
+        lo = hi - rng.randint(1, 2 * 10**5)
+        windows.append((lo - lo % 6, hi))
     for lo, hi in windows:
-        got = sieve._odd_mask(lo, hi, base)
-        want = odd_mask_reference(lo, hi, base)
+        got = sieve._wheel_mask(lo, hi, base)
+        want = wheel_mask_reference(lo, hi, base)
         assert got.shape == want.shape and np.array_equal(got, want), (lo, hi)

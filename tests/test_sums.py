@@ -155,13 +155,17 @@ def test_long_add_array_rounds_exact_halfway_sums_to_even():
             assert_add_array_exact(sign * arr, [])
 
 
+def primes_near_the_cap(width):
+    """The primes in the last width integers below the 2^40 sieve cap."""
+    top = sieve.MAX_SIEVE_BOUND
+    return np.concatenate([arr for _, _, arr in sieve.iter_prime_arrays(top - 1, start=top - width)])
+
+
 def test_long_add_array_on_real_term_arrays():
-    # The first sieve piece (2^18 integers), where 1/p^2 spans 2^-3 to 2^-36, and a
-    # window just below the 2^40 sieve cap.
+    # The first 2^18 integers, where 1/p^2 spans 2^-3 to 2^-36, and a window
+    # just below the 2^40 sieve cap.
     first = primes_array((1 << 18) - 1)[1:]
-    lo, hi = (1 << 40) - (1 << 16), 1 << 40
-    mask = sieve._odd_mask(lo, hi, sieve.base_odd_primes(1 << 20))
-    top = (lo | 1) + 2 * np.flatnonzero(mask).astype(np.int64)
+    top = primes_near_the_cap(1 << 16)
     assert len(top) >= LONG and len(first) >= LONG
     for primes in (first, top):
         for terms in _term_arrays(primes):
@@ -253,10 +257,8 @@ def test_prefix_sums_break_a_tie_by_a_bit_far_below_it():
 
 def test_prefix_limbs_split_terms_near_the_sieve_cap_exactly():
     # 1/p^2 and ln(p)/(p^2 - p) below 2^40 reach down to 2^-132; the first
-    # sieve piece (2^18 integers) spans 2^-1 to 2^-36 in one row.
-    lo, hi = (1 << 40) - (1 << 14), 1 << 40
-    mask = sieve._odd_mask(lo, hi, sieve.base_odd_primes(1 << 20))
-    top = (lo | 1) + 2 * np.flatnonzero(mask).astype(np.int64)
+    # 2^18 integers span 2^-1 to 2^-36 in one row.
+    top = primes_near_the_cap(1 << 14)
     first = primes_array((1 << 18) - 1)[:2000]
     for primes in (top, first):
         n = len(primes)
@@ -270,12 +272,129 @@ def test_prefix_limbs_refuse_what_the_grid_cannot_hold():
             prefix_limbs([np.array(row) for row in rows], np.array([len(rows[0])]))
 
 
+def prefix_limbs_until_zero(terms, cuts):
+    """prefix_limbs as it was before rows took their pass count up front: every
+    row passes until its remainders are all zero.  The tests' oracle for it."""
+    starts = np.concatenate(([0], cuts[:-1]))
+    nonempty = starts < cuts
+    starts = starts[nonempty]
+    pieces = np.zeros(len(cuts))
+    limbs = np.zeros((GRID_LIMBS, len(terms), len(cuts)), dtype=np.int64)
+    for i, row in enumerate(terms):
+        if len(row) >= 1 << 23:
+            raise ValueError("each row must be shorter than 2**23")
+        top = math.frexp(float(row.max(initial=0.0)))[1]
+        if not -LIMB_BITS * (GRID_LIMBS - 1) < top < LIMB_BITS:
+            raise ValueError("every row's largest term must lie in [2**-150, 2**29)")
+        d = top % LIMB_BITS
+        j, scale = (d - top) // LIMB_BITS + 1, 2.0 ** (LIMB_BITS - top)
+        h = np.empty_like(row)
+        while True:
+            row *= scale
+            np.trunc(row, out=h)
+            row -= h
+            pieces[nonempty] = np.add.reduceat(h, starts)
+            a = pieces.astype(np.int64)
+            high, low = a >> (LIMB_BITS - d), (a & ((1 << (LIMB_BITS - d)) - 1)) << d
+            if j >= GRID_LIMBS and (low.any() or (j > GRID_LIMBS and high.any())):
+                raise ValueError("every bit of every term must be at least 2**-150")
+            limbs[min(j - 1, GRID_LIMBS - 1), i] += high
+            limbs[min(j, GRID_LIMBS - 1), i] += low
+            if not row.any():
+                break
+            j, scale = j + 1, 2.0**LIMB_BITS
+    np.cumsum(limbs, axis=2, out=limbs)
+    return sums._normalize(limbs)
+
+
+def assert_prefix_limbs_match_the_loop(rows, cuts):
+    """prefix_limbs and prefix_limbs_until_zero give the same limbs, or the same ValueError."""
+    outcomes = []
+    for fn in (prefix_limbs, prefix_limbs_until_zero):
+        try:
+            outcomes.append(fn([np.array(row, dtype=np.float64) for row in rows], np.array(cuts)))
+        except ValueError as err:
+            outcomes.append(str(err))
+    got, want = outcomes
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def limb_rows(draw):
+    """Rows of one length for prefix_limbs, with ascending cuts ending at it.
+
+    Every term is 0 or below 2**top, with its lowest bit at least 2**(top -
+    spread - 53); odd 53-bit significands put a term's lowest bit as low as
+    its exponent lets it, and at the spreads 8 + 30 k one pass fewer would
+    miss it.  The edges put terms just below 2**29 and the lowest bits at
+    2**-150 and 2**-151.  Special terms make exact ties: 2**(top - 1) and
+    2**(top - 1) + 2**(top - 53) with half an ulp of either, 2**(top - 54).
+    """
+    top = draw(st.one_of(st.integers(-152, 29), st.sampled_from([29, -97, -98, -150, -151])))
+    edges = [8, 38, 68, 98, max(0, top + 97), max(0, top + 98)]  # the last: 2**-150, 2**-151
+    spread = draw(st.one_of(st.integers(0, 120), st.sampled_from(edges)))
+    scales = st.integers(top - spread - 53, top - 53)
+    odd = st.integers(2**52, 2**53 - 1).map(lambda m: m | 1)
+    terms = st.one_of(
+        st.builds(math.ldexp, st.integers(1, 2**53 - 1), scales),
+        st.builds(math.ldexp, odd, st.sampled_from([top - spread - 53, top - 53]) | scales),
+        st.sampled_from([0.0, math.ldexp(1, top - 1), math.ldexp(2**52 + 1, top - 53)]),
+        st.just(math.ldexp(1, top - 54)),
+    )
+    n = draw(st.sampled_from([0, 1, 2, 3]) | st.integers(0, 60))
+    rows = draw(st.lists(st.lists(terms, min_size=n, max_size=n), min_size=1, max_size=4))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=6))) + [n]
+    return rows, cuts
+
+
+@settings(max_examples=300, deadline=None)
+@given(limb_rows())
+def test_prefix_limbs_pass_count_matches_the_loop_until_zero(case):
+    assert_prefix_limbs_match_the_loop(*case)
+
+
+def test_prefix_limbs_pass_count_matches_the_loop_on_edge_rows():
+    # Empty rows, single terms, zeros (alone or among positive terms), ties,
+    # and terms at both ends of the grid.
+    just_below = math.nextafter(2.0**29, 0.0)
+    for rows, cuts in (
+        ([[]], [0]),
+        ([[], []], [0, 0]),
+        ([[0.0]], [1]),
+        ([[0.0, 0.0, 0.0]], [0, 3]),
+        ([[2.0**-150]], [1]),
+        ([[just_below]], [0, 1]),
+        ([[just_below, 2.0**-150]], [1, 2]),
+        ([[just_below, 2.0**-151]], [2]),
+        ([[1.0, 2.0**-53, 0.0, 2.0**-53]], [1, 2, 4]),
+        ([[1.0 + 2.0**-52, 2.0**-53], [0.5, 0.0]], [0, 1, 2]),
+        ([[3.0, 2.0**-52, 2.0**-150]], [3]),
+        ([[256.0, 1.0 + 2.0**-52]], [1, 2]),  # a pass fewer would miss 2**-52
+    ):
+        assert_prefix_limbs_match_the_loop(rows, cuts)
+
+
+def test_prefix_limbs_pass_count_matches_the_loop_on_real_rows():
+    # The S, A, Q and L rows of a window just below the 2^40 cap, and of the
+    # first primes, at random cuts.
+    rng = random.Random(34)
+    for primes in (primes_near_the_cap(1 << 14), primes_array(5000)):
+        n = len(primes)
+        rows = [terms.tolist() for terms in _term_arrays(primes)]
+        cuts = sorted(rng.randint(0, n) for _ in range(20)) + [n]
+        assert_prefix_limbs_match_the_loop(rows, cuts)
+        assert_prefix_limbs_match_the_loop([row[:1] for row in rows], [0, 1])
+
+
 def test_checkpoints_carry_across_run_edges(monkeypatch):
     # RUN_POINTS - 1, RUN_POINTS and RUN_POINTS + 1 checkpoints at primes, so
     # that no two share a value of pi, and two more: they fill one run to its
     # point limit, or spill 1, 2 or 3 into a second; later runs take the carry.
     primes = primes_array(1 << 16).tolist()
-    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 1 << 15)
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 32766)
     for count in (RUN_POINTS - 1, RUN_POINTS, RUN_POINTS + 1):
         points = primes[1 : 1 + count] + [3 << 16, (5 << 16) + 7]
         assert_columns_match_reference(points[-1], points)
@@ -288,7 +407,7 @@ def test_points_sharing_pi_take_their_columns_from_one_cut(monkeypatch):
     # pi, across run edges.
     points = [*range(2, 40), *range(1328, 1361), *range(5000, 5000 + 3 * RUN_POINTS)]
     points += range(31398, 31469)
-    for segment_size in (64, 4096, 1 << 20):
+    for segment_size in (54, 4098, 3 << 20):
         monkeypatch.setattr(sieve, "SEGMENT_SIZE", segment_size)
         assert_columns_match_reference(points[-1], points)
 
@@ -299,7 +418,7 @@ def test_checkpoints_in_gaps_repeats_and_below_two(monkeypatch):
     for key in "saql":
         assert zero[key].tolist() == [0.0, 0.0]
     points = [0, 1, 2, 3, 24, 25, 26, 27, 28, 29, 30]  # 24..28 lie in one prime gap
-    for segment_size in (1, 5, 1 << 18):
+    for segment_size in (6, 12, 3 << 18):
         monkeypatch.setattr(sieve, "SEGMENT_SIZE", segment_size)
         assert_columns_match_reference(30, points)
     assert_prefix_exact([[0.5, 0.25, 0.125, 0.0625]], [0, 0, 2, 2, 4, 4])
@@ -308,7 +427,7 @@ def test_checkpoints_in_gaps_repeats_and_below_two(monkeypatch):
 @settings(max_examples=25, deadline=None)
 @given(
     st.sets(st.integers(0, 3000), min_size=1, max_size=80),
-    st.sampled_from([7, 64, 500, 4096]),
+    st.sampled_from([6, 66, 498, 4098]),
     st.sampled_from([1, 2]),
 )
 def test_checkpoint_columns_match_the_per_event_loop(points, segment_size, workers):
@@ -337,7 +456,7 @@ def test_tiny_runs_give_the_default_columns(monkeypatch):
     primes = primes_array(points[-1])
     idle = [pts for start, stop, pts in runs if not np.any((primes >= start) & (primes < stop))]
     assert any(len(pts) for pts in idle) and any(len(pts) == 0 for pts in idle)
-    for segment_size in (32, 64, 1 << 20):
+    for segment_size in (30, 66, 3 << 20):
         monkeypatch.setattr(sieve, "SEGMENT_SIZE", segment_size)
         for workers in (1, 2, 3):
             cols = accumulate_checkpoints(points[-1], points, workers=workers)
@@ -414,7 +533,7 @@ def test_rows_bit_identical_for_any_segmentation_and_workers(monkeypatch):
     points = sorted(set(points))
     reference = accumulate_checkpoints(10**5 + 3, points)
     monkeypatch.setattr(sums, "RUN_INTEGERS", 1 << 14)  # several runs, so the pool starts
-    for segment_size in (1024, 4096, 1 << 18, 1 << 20):
+    for segment_size in (1026, 4098, 3 << 18, 3 << 20):
         monkeypatch.setattr(sieve, "SEGMENT_SIZE", segment_size)
         for workers in (1, 3):
             cols = accumulate_checkpoints(10**5 + 3, points, workers=workers)
