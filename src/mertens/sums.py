@@ -308,13 +308,13 @@ def accumulate_checkpoints(
 def columns_at(cols: dict[str, np.ndarray], points: Sequence[int]) -> dict[str, np.ndarray]:
     """The checkpoint columns cols restricted to points, in the order given.
 
-    Every point must be one of cols["x"]; the first that is not raises
-    KeyError.
+    Every point must equal one of cols["x"] in value (50.0 selects 50); the
+    first that does not, such as 5.9 or 2**70, raises KeyError.
     """
     xs = cols["x"]
-    want = np.asarray(points, dtype=np.int64)
+    want = np.asarray(points)  # uncast: int64 would truncate 5.9 to 5 and overflow at 2**70
     idx = np.minimum(np.searchsorted(xs, want), len(xs) - 1)
     missing = xs[idx] != want
     if missing.any():
-        raise KeyError(int(want[missing][0]))
+        raise KeyError(want[missing].tolist()[0])
     return {key: col[idx] for key, col in cols.items()}

@@ -14,10 +14,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mertens import accumulate_checkpoints
 from mertens.bounds import log_spaced_integers
 from mertens.sieve import primes_array
-from mertens.sums import columns_at
+from mertens.sums import accumulate_checkpoints, columns_at
 
 TRIAL_LIMIT = 100_000
 

@@ -476,11 +476,10 @@ def test_import_mertens_loads_no_numpy_and_leaves_blas_alone():
     code = (
         "import os, sys, mertens\n"
         "print('numpy' in sys.modules)\n"
-        "print(mertens.primes_array(10).tolist() == [2, 3, 5, 7])\n"
         "print(all(getattr(mertens, name) is not None for name in mertens.__all__))\n"
         "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
     )
-    assert run_python(code) == ["False", "True", "True", "None"]
+    assert run_python(code) == ["False", "True", "None"]
     with pytest.raises(AttributeError, match="no_such_name"):
         mertens.no_such_name
 

@@ -271,6 +271,29 @@ def test_stream_matches_trial_division_at_every_start(monkeypatch, size):
             assert all(lo <= p < hi for lo, hi, arr in arrays for p in arr.tolist())
 
 
+@pytest.mark.parametrize("size", [12, 66])
+def test_checkpoint_events_interleave_the_stream_in_order(monkeypatch, size):
+    # Points below 2, in a prime gap, on primes and on either side of every
+    # window edge: each checkpoint comes once, just after the primes <= x,
+    # and the terms events hand on the whole stream in order.
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
+    n = 300
+    primes = [p for p in range(n + 1) if trial_is_prime(p)]
+    edges = {e + d for e in range(6, n, size) for d in (-1, 0, 1)}
+    points = sorted({0, 1, 2, 24, 25, 26, 97, n} | edges)
+    seen, checkpoints = [], []
+    for kind, payload in sieve.iter_checkpoint_events(iter_prime_arrays(n), points):
+        if kind == "terms":
+            assert len(payload) > 0
+            seen += payload.tolist()
+        else:
+            assert kind == "checkpoint"
+            assert seen == [p for p in primes if p <= payload], payload
+            checkpoints.append(payload)
+    assert checkpoints == points
+    assert seen == primes
+
+
 def wheel_mask_reference(lo, hi, base_primes):
     """One prime at a time: its first two multiples prime to 6 found by stepping, then every 6p."""
     mask = np.ones(len(range(lo + 1, hi, 6)) + len(range(lo + 5, hi, 6)), dtype=bool)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -26,7 +27,7 @@ from mertens.sums import (
     round_limbs,
 )
 
-from conftest import decades_up_to
+from conftest import decades_up_to, dense_sieve_flags
 
 
 def exact_float_sum(values) -> Fraction:
@@ -187,25 +188,28 @@ def test_long_add_array_property(arr):
 
 
 def reference_columns(n_max, points):
-    """Checkpoint columns from the per-event loop: one add_array per sum and terms event."""
-    accs = [CompensatedAccumulator() for _ in range(4)]
-    pi, rows = [], []
-    count = 0
-    arrays = sieve.iter_prime_arrays(n_max)
-    for kind, payload in sieve.iter_checkpoint_events(arrays, points):
-        if kind == "terms":
-            for acc, terms in zip(accs, _term_arrays(payload)):
-                acc.add_array(terms)
-            count += len(payload)
-        else:
-            pi.append(count)
-            rows.append([acc.value for acc in accs])
-    s, a, q, l = np.array(rows).T.copy()
-    return {"x": np.array(points, dtype=np.int64), "pi": np.array(pi), "s": s, "a": a, "q": q, "l": l}
+    """Checkpoint columns from a dense sieve and exact integer sums, sharing no package code.
+
+    Every term here is an integer multiple of 2**-150, so int(ldexp(t, 150))
+    holds it exactly; each point's sum is rounded once by int / int, which
+    CPython rounds correctly.
+    """
+    flags = dense_sieve_flags(max(n_max, 1))  # it clears flags 0 and 1, so it needs both
+    primes = np.flatnonzero(np.frombuffer(flags, dtype=np.uint8))
+    p = primes.astype(np.float64)
+    logs = np.log(p)
+    terms = {"s": 1.0 / p, "a": logs / p, "q": 1.0 / (p * p), "l": logs / (p * p - p)}
+    pi = np.searchsorted(primes, points, side="right")
+    cols = {"x": np.array(points, dtype=np.int64), "pi": pi}
+    for key, row in terms.items():
+        grid = (int(math.ldexp(t, 150)) for t in row.tolist())
+        prefix = list(itertools.accumulate(grid, initial=0))
+        cols[key] = np.array([prefix[k] / 2**150 for k in pi.tolist()])
+    return cols
 
 
 def assert_columns_match_reference(n_max, points, workers=1):
-    """accumulate_checkpoints against reference_columns, both at the window sieve.SEGMENT_SIZE."""
+    """accumulate_checkpoints, at the window sieve.SEGMENT_SIZE, against reference_columns bit for bit."""
     cols = accumulate_checkpoints(n_max, points, workers=workers)
     reference = reference_columns(n_max, points)
     assert cols.keys() == reference.keys()
@@ -572,8 +576,10 @@ def test_columns_at_selects_points_and_raises_on_a_missing_one():
     assert picked["x"].tolist() == [100, 10]
     assert picked["pi"].tolist() == [25, 4]
     assert picked["s"].tolist() == [cols["s"][2], cols["s"][0]]
-    for missing in (5, 11, 101):  # below, between and above the checkpoints
-        with pytest.raises(KeyError):
+    assert columns_at(cols, [50.0])["x"].tolist() == [50]  # an integral float selects by value
+    # Below, between and above the checkpoints; a fraction; a point past int64.
+    for missing in (5, 11, 101, 10.5, 2**70):
+        with pytest.raises(KeyError, match=str(missing)):
             columns_at(cols, [10, missing])
 
 

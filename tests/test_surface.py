@@ -42,13 +42,16 @@ def test_every_traced_entry_point_exists():
 
 
 def test_top_level_exports_the_pipeline():
-    assert sorted(mertens.__all__) == [
-        "SieveLimitError",
-        "__version__",
-        "accumulate_checkpoints",
-        "estimate_mertens_B",
-        "extrapolate_sum",
-        "primes_array",
-    ]
-    for name in mertens.__all__:
-        assert getattr(mertens, name) is not None
+    # The package exports only its version; each pipeline name has one home.
+    assert mertens.__all__ == ["__version__"]
+    assert not hasattr(mertens, "__getattr__")
+    homes = {
+        "mertens.sieve": ["SieveLimitError", "primes_array"],
+        "mertens.sums": ["accumulate_checkpoints"],
+        "mertens.bounds": ["estimate_mertens_B", "extrapolate_sum"],
+    }
+    for module_name, names in homes.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            assert getattr(module, name).__module__ == module_name, name
+            assert not hasattr(mertens, name), name
