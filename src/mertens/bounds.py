@@ -265,4 +265,5 @@ def extrapolate_sum(log10_x: float) -> float:
     """ln ln x + B without ever forming x, from log10(x) alone."""
     if not math.isfinite(log10_x) or log10_x <= _LOG10_FLOOR:
         raise ValueError(f"extrapolation needs log10_x > 1/ln(10), got {log10_x}")
-    return math.log(log10_x * math.log(10.0)) + B
+    ln_x = log10_x * math.log(10.0)  # overflows above log10_x ~7.8e307: add the two logs there
+    return B + (math.log(ln_x) if ln_x < math.inf else math.log(log10_x) + math.log(math.log(10)))

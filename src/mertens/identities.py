@@ -78,42 +78,17 @@ def log_one_minus_bound(x: float) -> IdentityVerdict:
     return v
 
 
-@dataclass
-class SequencePair:
-    """Finite sequences f, g over the index window [m, n+1].
-
-    Position i - m of each list holds the value at index i; both lists must
-    reach index n + 1 because the summation-by-parts identity references
-    f_{n+1} and g_{n+1}.
-    """
-
-    f: Sequence[float]
-    g: Sequence[float]
-    m: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"window start must be >= 1, got m={self.m}")
-        if self.n < self.m:
-            raise ValueError(f"window must satisfy m <= n, got [{self.m}, {self.n}]")
-        need = self.n - self.m + 2
-        if len(self.f) < need or len(self.g) < need:
-            raise IndexError(
-                f"sequences must cover indices {self.m}..{self.n + 1} "
-                f"({need} entries), got lengths {len(self.f)} and {len(self.g)}"
-            )
-
-
-def abel_identity_eval(seq: SequencePair) -> IdentityVerdict:
+def abel_identity_eval(f: Sequence[float], g: Sequence[float]) -> IdentityVerdict:
     """Evaluate both sides of summation by parts and compare.
 
     sum_{i=m}^{n} f_i (g_{i+1} - g_i)
         = f_{n+1} g_{n+1} - f_m g_m - sum_{i=m}^{n} g_{i+1} (f_{i+1} - f_i)
+
+    f and g hold the values at indices m..n+1, one length >= 2; neither side reads m or n.
     """
-    m, n = seq.m, seq.n
-    f = list(map(float, seq.f[: n - m + 2]))
-    g = list(map(float, seq.g[: n - m + 2]))
+    if len(f) != len(g) or len(f) < 2:
+        raise ValueError(f"need two sequences of one length >= 2, got {len(f)} and {len(g)}")
+    f, g = list(map(float, f)), list(map(float, g))
     lhs = math.fsum(map(mul, f, map(sub, g[1:], g)))
     tail = math.fsum(map(mul, g[1:], map(sub, f[1:], f)))
     rhs = f[-1] * g[-1] - f[0] * g[0] - tail

