@@ -44,14 +44,12 @@ class BoundReport:
     worst_arg: int
 
 
-def _combined_report(
-    name: str, lo: int, hi: int, scans: Iterable[tuple[np.ndarray, np.ndarray]]
-) -> BoundReport:
-    """Fold (arguments, margins) pairs; ties go to the lowest argument."""
-    scanned = 0
-    violations = 0
+def _combined_report(name: str, scans: Iterable[tuple[np.ndarray, np.ndarray]]) -> BoundReport:
+    """Fold (arguments, margins) pairs into a report over their range; ties go to the lowest."""
+    lo, hi, scanned, violations = math.inf, -1, 0, 0
     best = (math.inf, -1)
     for xs, margins in scans:
+        lo, hi = min(lo, int(xs[0])), max(hi, int(xs[-1]))
         scanned += len(margins)
         violations += int(np.count_nonzero(margins < 0.0))
         i = int(np.argmin(margins))  # first occurrence = lowest argument
@@ -179,7 +177,7 @@ def chebyshev_dyadic_check(lo: int, hi: int, primes: np.ndarray) -> BoundReport:
             yield ys, 4.0 * (y_over_log - half / np.log(half)) - (pi_y - pi_half)
             yield ys, 4.0 * y_over_log - (pi_y - pi16).astype(np.float64)
 
-    return _combined_report("chebyshev_dyadic", lo, hi, blocks())
+    return _combined_report("chebyshev_dyadic", blocks())
 
 
 def mertens_residual_scan(cols: dict[str, np.ndarray]) -> list[tuple[int, float]]:
@@ -197,12 +195,11 @@ def mertens_residual_scan(cols: dict[str, np.ndarray]) -> list[tuple[int, float]
 def residual_caps_check(cols: dict[str, np.ndarray]) -> list[BoundReport]:
     """Cap checks at precomputed checkpoints: |A - ln x| <= 2, Q < 1.645, L < 2."""
     xs = cols["x"]
-    lo, hi = int(xs[0]), int(xs[-1])
     resid = np.abs(cols["a"] - np.log(xs.astype(np.float64)))
     return [
-        _combined_report("mertens_residual_cap", lo, hi, [(xs, RESIDUAL_CAP - resid)]),
-        _combined_report("q_cap", lo, hi, [(xs, Q_CAP - cols["q"])]),
-        _combined_report("l_cap", lo, hi, [(xs, L_CAP - cols["l"])]),
+        _combined_report("mertens_residual_cap", [(xs, RESIDUAL_CAP - resid)]),
+        _combined_report("q_cap", [(xs, Q_CAP - cols["q"])]),
+        _combined_report("l_cap", [(xs, L_CAP - cols["l"])]),
     ]
 
 
@@ -214,9 +211,7 @@ def euler_lower_bound_check(cols: dict[str, np.ndarray]) -> BoundReport:
     lnln = np.log(np.log(xs.astype(np.float64)))
     with_q = (cols["s"] + cols["q"]) - lnln
     with_slack = cols["s"] - (lnln - EULER_SLACK)
-    return _combined_report(
-        "euler_lower_bound", int(xs[0]), int(xs[-1]), [(xs, with_q), (xs, with_slack)]
-    )
+    return _combined_report("euler_lower_bound", [(xs, with_q), (xs, with_slack)])
 
 
 def rosser_schoenfeld_check(cols: dict[str, np.ndarray]) -> list[BoundReport]:
@@ -237,12 +232,9 @@ def rosser_schoenfeld_check(cols: dict[str, np.ndarray]) -> list[BoundReport]:
     lower = s - (lnln - 1.0 / (2.0 * ln * ln) + B)
     upper_sym = (lnln + 1.0 / (2.0 * ln * ln) + B) - s
     upper_asym = (lnln + 1.0 / (2.0 * ln) ** 2 + B) - s
-    lo, hi = int(xs[0]), int(xs[-1])
     return [
-        _combined_report("rs_envelope_symmetric", lo, hi, [(xs, lower), (xs, upper_sym)]),
-        _combined_report(
-            "rs_envelope_asymmetric_upper", lo, hi, [(xs, lower), (xs, upper_asym)]
-        ),
+        _combined_report("rs_envelope_symmetric", [(xs, lower), (xs, upper_sym)]),
+        _combined_report("rs_envelope_asymmetric_upper", [(xs, lower), (xs, upper_asym)]),
     ]
 
 

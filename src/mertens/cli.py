@@ -5,7 +5,7 @@ its exit code and text (table, estimate-b and extrapolate in --format text, csv
 or json); main is the one writer for all four, into stdout or the --out file.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 resource exhaustion (sieve cap exceeded, or out of memory).
+3 resource exhaustion (sieve cap exceeded, out of memory, unwritable output).
 """
 
 from __future__ import annotations
@@ -366,6 +366,7 @@ def _open_out(args: argparse.Namespace) -> contextlib.AbstractContextManager:
 
 
 def main(argv: list[str] | None = None) -> int:
+    text = None
     try:
         args = build_parser().parse_args(argv)
         with _open_out(args) as out:
@@ -373,7 +374,15 @@ def main(argv: list[str] | None = None) -> int:
                 _check_request(args.n_max, args.workers)
             code, text = args.run(args)
             out.write(text)
-            return code
+            out.flush()
+        return code
+    except OSError as exc:
+        if text is None:  # the command had not run: the error is not the output's
+            raise
+        if out is sys.stdout:  # it keeps the unwritten bytes: send the flush at exit to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        return EXIT_RESOURCE
     except SieveLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import log_spaced_integers, sorted_union
-from .sums import _normalize, prefix_limbs, round_limbs
+from .sums import prefix_limbs, round_limbs
 
 EPS = sys.float_info.epsilon
 
@@ -220,7 +220,7 @@ def factorial_log_scan(ns: Sequence[int], primes: np.ndarray) -> FactorialLogChe
         if k:
             terms = _factorial_exponents(n_rows[a:b], ps[:k]) * log_ps[:k]
             limbs = prefix_limbs([terms.ravel()], np.arange(b - a + 1) * k)
-            rhs[a:b] = round_limbs(_normalize(np.diff(limbs, axis=2)))[0]
+            rhs[a:b] = round_limbs(np.diff(limbs, axis=2))[0]
         a = b
     ratio = (lhs - n_rows * np.array(list(map(math.log, n_rows.tolist())))) / n_rows
     ok = (-1.0 <= ratio) & (ratio <= 0.0)

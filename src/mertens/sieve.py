@@ -3,9 +3,9 @@
 The sieve walks fixed-size windows of a run of the integer line, keeping
 in memory one boolean for each integer prime to 6 (a 6k±1 wheel, one flag
 per three integers), and hands each window on in ascending pieces of at
-most PIECE integers, so no consumer array grows with the window.  It is
-serial: mertens.sums cuts a pass into runs and gives each run its own
-stream, in one process or in a pool.
+most PIECE integers, so no consumer array grows with the window; its base
+primes come from a stream of its own.  It is serial: mertens.sums cuts a
+pass into runs and gives each run its own stream, in one process or a pool.
 """
 
 from __future__ import annotations
@@ -51,25 +51,16 @@ def _check_request(n: int, workers: int = 1) -> None:
         )
 
 
-def base_odd_primes(limit: int) -> np.ndarray:
-    """Odd primes <= limit (int64 array), sieved by the odd primes <= sqrt(limit)."""
-    if limit < 3:
-        return np.empty(0, dtype=np.int64)
-    mask = _wheel_mask(0, limit + 1, base_odd_primes(math.isqrt(limit)))
-    mask[0] = False  # flag 0 is 1
-    return np.concatenate([[3], (3 * np.flatnonzero(mask) + 1) | 1])
-
-
 def _wheel_mask(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     """Prime flags for [lo, hi), lo a multiple of 6: flag i for lo + 3i + 1 + (i & 1).
 
-    base_primes holds the odd primes <= sqrt(hi - 1), ascending; all but 3
-    cross off.  The multiples p q >= max(p^2, lo) of each with q = 1 and
+    base_primes holds every prime <= sqrt(hi - 1), ascending; those past 2
+    and 3 cross off.  The multiples p q >= max(p^2, lo) of each with q = 1 and
     q = 5 (mod 6) are two slices of step 2 p; the least q of each class comes
     for every p in one numpy step, so the only Python per prime is two slices.
     """
     mask = np.ones((hi - lo + 4) // 6 + (hi - lo) // 6, dtype=bool)
-    ps = base_primes[1 : np.searchsorted(base_primes, math.isqrt(hi - 1), side="right")]
+    ps = base_primes[2 : np.searchsorted(base_primes, math.isqrt(hi - 1), side="right")]
     q = np.maximum(ps, -(-lo // ps))
     ones, fives = ((ps * (q + (r - q) % 6) - lo) // 3 for r in (1, 5))
     for step, i, j in zip((2 * ps).tolist(), ones.tolist(), fives.tolist()):
@@ -83,30 +74,28 @@ def iter_prime_arrays(n: int, *, start: int = 0) -> Iterator[tuple[int, int, np.
 
     Each tuple asserts "every prime in [lo, hi) is in this array"; the union
     of coverages is [start, n + 1), so a consumer can finalize a point x as
-    soon as a piece with hi > x has been consumed.  2, 3 and 5 come in a
-    head piece [start, 6); windows of SEGMENT_SIZE from the multiple of 6 at
-    or below max(start, 6) come as pieces of at most PIECE integers.
+    soon as a piece with hi > x has been consumed.  Windows of SEGMENT_SIZE from
+    the multiple of 6 at or below start come as pieces of at most PIECE integers;
+    2 and 3, off the wheel, open the piece at 0.  primes_array gives the base primes.
     """
     _check_request(n)
     size = SEGMENT_SIZE
     if size <= 0 or size % 6 or PIECE <= 0 or PIECE % 6:
         raise ValueError(f"sieve window {size} and piece {PIECE} must be positive multiples of 6")
-    if start < min(6, n + 1):
-        head = [p for p in (2, 3, 5) if start <= p <= n]
-        yield start, min(6, n + 1), np.array(head, dtype=np.int64)
-    base = base_odd_primes(math.isqrt(n))
-    for lo in range(max(start - start % 6, 6), n + 1 if start <= n else 0, size):
+    base = primes_array(math.isqrt(n)) if n >= 25 else np.empty(0, dtype=np.int64)
+    for lo in range(start - start % 6, n + 1 if start <= n else 0, size):
         hi = min(lo + size, n + 1)
         mask = _wheel_mask(lo, hi, base)
-        mask[: max(start - lo + 4, 0) // 6] = False  # lo + 1 if it lies below start
+        mask[: max(max(start, 2) - lo + 4, 0) // 6] = False  # lo + 1 if it is 1 or below start
         # PIECE is a multiple of 6, so flag k of the piece at piece_lo stands
         # for piece_lo + 3k + 1 + (k & 1) = (piece_lo + 3k + 1) | 1.
         for piece_lo in range(lo, hi, PIECE):
-            offset = (piece_lo - lo) // 3
-            primes = np.flatnonzero(mask[offset : offset + PIECE // 3])
+            primes = np.flatnonzero(mask[(piece_lo - lo) // 3 :][: PIECE // 3])
             primes *= 3
             primes += piece_lo + 1
             primes |= 1
+            if piece_lo == 0:
+                primes = np.concatenate([np.arange(max(start, 2), min(n + 1, 4)), primes])
             yield max(piece_lo, start), min(piece_lo + PIECE, hi), primes
 
 
@@ -136,8 +125,7 @@ def iter_checkpoint_events(
 
 def primes_array(n: int) -> np.ndarray:
     """Materialized int64 array of all primes <= n, ascending."""
-    arrays = (arr for _, _, arr in iter_prime_arrays(n))
-    return np.concatenate([np.empty(0, dtype=np.int64), *arrays])
+    return np.concatenate([arr for _, _, arr in iter_prime_arrays(n)])
 
 
 def _validate_points(points: Sequence[int]) -> np.ndarray:

@@ -170,15 +170,14 @@ def _normalize(limbs: np.ndarray) -> np.ndarray:
 
 
 def round_limbs(limbs: np.ndarray) -> np.ndarray:
-    """The correctly rounded float of each column of prefix_limbs' normalized limbs.
+    """The correctly rounded float of each column of limbs, laid out as prefix_limbs'.
 
-    From t, the first nonzero limb, w takes the sum's top 62 bits (limbs
-    t..t+3) and sets its last bit if any lower bit is set.  That sticky bit
-    lies 9 places below the 53 bits a float keeps, so the int64 -> float64
-    conversion, which rounds to nearest even, rounds w as it would round the
-    sum.
+    limbs are normalized in place.  From t, the first nonzero limb, w takes the sum's
+    top 62 bits (limbs t..t+3) and sets its last bit if any lower bit is set.  That
+    sticky bit lies 9 places below the 53 bits a float keeps, so the int64 -> float64
+    conversion, which rounds to nearest even, rounds w as it would round the sum.
     """
-    flat = limbs.reshape(GRID_LIMBS, -1)
+    flat = _normalize(limbs).reshape(GRID_LIMBS, -1)
     m = flat.shape[1]
     zero = flat == 0
     t = np.zeros(m, dtype=np.int64)  # leading zero limbs; a zero sum stops at the last, and w = 0
@@ -299,7 +298,7 @@ def accumulate_checkpoints(
         j = k + len(run_pi)
         pi[k:j] = count + run_pi
         which = np.cumsum(np.diff(run_pi, prepend=-1) > 0) - 1  # each point's column
-        columns[:, k:j] = round_limbs(_normalize(limbs + carry))[:, which]
+        columns[:, k:j] = round_limbs(limbs + carry)[:, which]
         carry = _normalize(total + carry)
         count, k = count + run_count, j
     return {"x": xs, "pi": pi, **dict(zip(keys, columns))}

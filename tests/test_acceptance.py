@@ -81,9 +81,12 @@ def test_criterion_02_large_scale_table():
     cols = accumulate_checkpoints(10**9, decades_up_to(10**9))
     single = time.perf_counter() - t0
     s9 = cols["s"][-1].item()
+    pi9 = cols["pi"][-1].item()
     failures = []
     if abs(s9 - 3.293) > 5e-4:
         failures.append(f"S(1e9)={s9!r}")
+    if pi9 != 50_847_534:  # the published pi(10^9)
+        failures.append(f"pi(1e9)={pi9}")
     if single >= 180.0:
         failures.append(f"single-threaded runtime {single:.1f}s >= 180s")
     t0 = time.perf_counter()
@@ -96,7 +99,7 @@ def test_criterion_02_large_scale_table():
     report(
         "criterion 2 (large-scale table)",
         failures,
-        f"S(1e9)={s9:.6f} single={single:.1f}s workers8={eight:.1f}s "
+        f"S(1e9)={s9:.6f} pi(1e9)={pi9} single={single:.1f}s workers8={eight:.1f}s "
         f"(cores={multiprocessing.cpu_count()})",
     )
 

@@ -245,6 +245,14 @@ def test_envelope_scan_census(shared_scan):
     _, dense_asymmetric = rosser_schoenfeld_check(shared_scan.at(dense))
     assert dense_asymmetric.violations == 467
     assert dense_asymmetric.worst_arg == 286
+    # ... and holds from 1676 on: at every integer to 1e5 and the log-spaced points to 1e8
+    _, last_false = rosser_schoenfeld_check(shared_scan.at([1675]))
+    assert last_false.violations == 1
+    past = [x for x in points if x >= 1676]
+    _, past_asymmetric = rosser_schoenfeld_check(shared_scan.at(past))
+    assert past[:2] == [1676, 1677] and set(range(1676, 10**5 + 1)) <= set(past)
+    assert past_asymmetric.violations == 0
+    assert past_asymmetric.worst_arg == 1676 and past_asymmetric.worst_margin > 0.0
 
 
 def test_envelope_domain_error():

@@ -1,3 +1,5 @@
+import errno
+import itertools
 import json
 import math
 import multiprocessing
@@ -398,12 +400,21 @@ def test_verify_rejects_small_n_max(capsys):
 
 
 def test_verify_at_1e5_passes(monkeypatch, capsys):
-    sieved = [0] * 100_001  # times each integer was sieved
+    # Times each integer was sieved by an outermost stream; a stream's own
+    # base primes, up to the square root of its end, are not counted.
+    sieved = [0] * 100_001
     prime_arrays = mertens.sieve.iter_prime_arrays
+    depth = 0
 
     def counted(n, *, start=0):
-        sieved[start : n + 1] = [k + 1 for k in sieved[start : n + 1]]
-        return prime_arrays(n, start=start)
+        nonlocal depth
+        if not depth:
+            sieved[start : n + 1] = [k + 1 for k in sieved[start : n + 1]]
+        depth += 1
+        try:
+            yield from prime_arrays(n, start=start)
+        finally:
+            depth -= 1
 
     monkeypatch.setattr(mertens.sieve, "iter_prime_arrays", counted)
     monkeypatch.setattr(mertens.sums, "iter_prime_arrays", counted)
@@ -471,6 +482,35 @@ def test_cli_as_a_process():
     assert run("table", "--n-max", "abc").returncode == 2
     capped = run("table", "--n-max", "1e13")
     assert (capped.returncode, capped.stdout) == (3, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+def test_a_failed_output_write_exits_3_without_a_traceback():
+    # /dev/full opens, but every write to it fails with ENOSPC: as stdout, and as --out.
+    # Buffered, stdout keeps the bytes it failed to write, and the interpreter
+    # flushes it once more at exit; unbuffered, it does not.
+    clean = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    clean["PYTHONPATH"] = str(Path(mertens.cli.__file__).resolve().parents[1])
+    table = ["table", "--n-max", "1e3"]
+    cases = [
+        (["verify", "--n-max", "300"], True),
+        (table, True),
+        ([*table, "--out", "/dev/full"], False),
+    ]
+    for (argv, to_full), unbuffered in itertools.product(cases, ({}, {"PYTHONUNBUFFERED": "1"})):
+        env = {**clean, **unbuffered}
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "mertens.cli", *argv],
+                stdout=full if to_full else subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env=env,
+                text=True,
+            )
+        assert done.returncode == 3, (argv, unbuffered, done.stderr)
+        assert "Traceback" not in done.stderr, (argv, unbuffered)
+        assert done.stderr == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n", argv
+        assert to_full or done.stdout == "", argv
 
 
 def run_python(code: str, **env: str) -> list[str]:

@@ -86,6 +86,12 @@ def test_pi_at_examples():
     assert pi_pairs([10, 100]) == [(10, 4), (100, 25)]
 
 
+def test_pi_at_decades_matches_the_published_counts(shared_scan):
+    # pi(10^k), k = 1..8, as tabulated (OEIS A006880).
+    published = [4, 25, 168, 1229, 9592, 78498, 664579, 5761455]
+    assert shared_scan.at([10**k for k in range(1, 9)])["pi"].tolist() == published
+
+
 def test_pi_at_million_against_independent_sieve():
     flags = dense_sieve_flags(10**6)
     assert pi_pairs([10**6]) == [(10**6, sum(flags))]
@@ -181,7 +187,7 @@ def test_windows_come_in_bounded_pieces(monkeypatch):
         assert [hi for _, hi, _ in arrays[:-1]] == [lo for lo, _, _ in arrays[1:]]
         assert all(0 < hi - lo <= sieve.PIECE for lo, hi, _ in arrays)
         assert all(lo <= arr.min(initial=lo) <= arr.max(initial=lo) < hi for lo, hi, arr in arrays)
-        first = max(start - start % 6, 6)
+        first = start - start % 6
         windows = {max(start, first + segment_size * k) for k in range((n - first) // segment_size + 1)}
         assert windows <= {lo for lo, _, _ in arrays}  # a window edge is a piece edge
         edges |= {lo for lo, _, _ in arrays}
@@ -256,8 +262,8 @@ def test_prime_stream_carries_configuration(monkeypatch):
 
 @pytest.mark.parametrize("size", [12, sieve.SEGMENT_SIZE])
 def test_stream_matches_trial_division_at_every_start(monkeypatch, size):
-    # Every start on and off the wheel, inside and just past the head piece
-    # [start, 6), in windows of 12 and of the default size.
+    # Every start on and off the wheel, on 1, 2 and 3 (off it too) and just
+    # past them, in windows of 12 and of the default size.
     monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
     for n in range(201):
         want = [m for m in range(n + 1) if trial_is_prime(m)]
@@ -274,12 +280,13 @@ def test_stream_matches_trial_division_at_every_start(monkeypatch, size):
 @pytest.mark.parametrize("size", [12, 66])
 def test_checkpoint_events_interleave_the_stream_in_order(monkeypatch, size):
     # Points below 2, in a prime gap, on primes and on either side of every
-    # window edge: each checkpoint comes once, just after the primes <= x,
-    # and the terms events hand on the whole stream in order.
+    # multiple of 6, each window edge among them: each checkpoint comes once,
+    # just after the primes <= x, and the terms events hand on the whole
+    # stream in order.
     monkeypatch.setattr(sieve, "SEGMENT_SIZE", size)
     n = 300
     primes = [p for p in range(n + 1) if trial_is_prime(p)]
-    edges = {e + d for e in range(6, n, size) for d in (-1, 0, 1)}
+    edges = {e + d for e in range(0, n, 6) for d in (-1, 0, 1)}
     points = sorted({0, 1, 2, 24, 25, 26, 97, n} | edges)
     seen, checkpoints = [], []
     for kind, payload in sieve.iter_checkpoint_events(iter_prime_arrays(n), points):
@@ -316,10 +323,10 @@ def wheel_mask_reference(lo, hi, base_primes):
 
 
 def test_wheel_mask_matches_per_prime_reference():
-    base = sieve.base_odd_primes(1 << 20)
+    base = sieve.primes_array(1 << 20)
     rng = random.Random(1940)
     windows = [(6, 6), (0, 1), (0, 2), (0, 5), (0, 6), (0, 100), (996, 1003)]
-    for p in base[:40].tolist():
+    for p in base[1:41].tolist():
         sq = p * p
         # lo below p^2 and at the first multiple of 6 past it; hi = p^2, p^2 + 1 and past them
         edges = [(sq - 2 * p, sq), (sq - 2 * p, sq + 1), (sq, sq + 1), (sq + 1, sq + 3)]
